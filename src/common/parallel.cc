@@ -1,5 +1,7 @@
 #include "common/parallel.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -20,6 +22,13 @@ thread_local bool tls_on_pool_worker = false;
 
 size_t EffectiveParallelism(size_t requested) {
   if (requested != 0) return requested;
+  // The CPUs this thread may run on (taskset, cpuset cgroups), not the
+  // machine's: lanes beyond the mask only queue behind each other.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0 && CPU_COUNT(&mask) > 0) {
+    return static_cast<size_t>(CPU_COUNT(&mask));
+  }
   return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 

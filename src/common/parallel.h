@@ -11,9 +11,10 @@
 
 namespace dbsherlock::common {
 
-/// Resolves a parallelism request: 0 means "one lane per hardware thread"
-/// (never less than 1); any other value is taken literally. 1 selects the
-/// exact serial path (no pool involvement at all).
+/// Resolves a parallelism request: 0 means "one lane per CPU in the calling
+/// thread's affinity mask" (sched_getaffinity, so `taskset` and cpuset
+/// limits count; never less than 1); any other value is taken literally. 1
+/// selects the exact serial path (no pool involvement at all).
 size_t EffectiveParallelism(size_t requested);
 
 /// A small shared worker pool. Diagnosis code never uses it directly —
@@ -38,7 +39,7 @@ class ThreadPool {
   void EnsureAtLeast(size_t num_threads);
 
   /// The process-wide pool, created on first use and sized to
-  /// hardware_concurrency; grown on demand when a caller requests a higher
+  /// EffectiveParallelism(0); grown on demand when a caller requests a higher
   /// explicit parallelism (benchmarks probe oversubscription this way).
   static ThreadPool& Global();
 
@@ -66,7 +67,7 @@ class ThreadPool {
 /// runner, so both entry points share one fan-out implementation.
 class ParallelRunner {
  public:
-  /// `parallelism`: 0 = one lane per hardware thread, 1 = always serial.
+  /// `parallelism`: 0 = EffectiveParallelism(0) lanes, 1 = always serial.
   explicit ParallelRunner(size_t parallelism = 0);
 
   /// Lanes this runner fans out over (>= 1).

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/crc32.h"
 #include "common/json.h"
 #include "core/causal_model.h"
 #include "common/metrics.h"
@@ -123,7 +124,7 @@ void ModelSyncPuller::PullPeer(Peer& peer) {
   // array reproduces the sender's exact bytes.
   std::string text = models->Dump();
   if (static_cast<uint32_t>(*crc) !=
-      service::Crc32(text.data(), text.size())) {
+      common::Crc32(text.data(), text.size())) {
     ++peer.stats.crc_failures;
     metrics.GetCounter("modelsync.crc_failures")->Increment();
     return;

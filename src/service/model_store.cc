@@ -4,12 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/crc32.h"
 #include "common/faultenv.h"
 #include "common/json.h"
 #include "common/strings.h"
@@ -72,28 +72,6 @@ Status WriteAll(const char* site, int fd, const uint8_t* data, size_t n,
 }
 
 }  // namespace
-
-/// Reflected CRC-32 (poly 0xEDB88320), the variant used by zlib/ethernet.
-/// Table built on first use; reads after that are immutable.
-uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return table;
-  }();
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
-  for (size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
 
 DurableModelStore::DurableModelStore(Options options)
     : options_(std::move(options)) {}
@@ -198,9 +176,8 @@ Status DurableModelStore::RecoverLocked() {
       break;
     }
     // CRC covers seq + payload, exactly as AppendRecordLocked computed it.
-    uint32_t actual = Crc32(header + 8, 8);
-    actual = Crc32(reinterpret_cast<const uint8_t*>(payload.data()), len,
-                   actual);
+    uint32_t actual = common::Crc32(header + 8, 8);
+    actual = common::Crc32(payload.data(), len, actual);
     if (actual != crc) {
       torn = true;
       break;
@@ -251,8 +228,8 @@ Status DurableModelStore::AppendRecordLocked(const core::CausalModel& model) {
   PutU32(bytes, static_cast<uint32_t>(payload.size()));
   PutU64(bytes + 8, next_seq_);
   std::memcpy(bytes + 16, payload.data(), payload.size());
-  uint32_t crc = Crc32(bytes + 8, 8);
-  crc = Crc32(bytes + 16, payload.size(), crc);
+  uint32_t crc = common::Crc32(bytes + 8, 8);
+  crc = common::Crc32(bytes + 16, payload.size(), crc);
   PutU32(bytes + 4, crc);
 
   auto& metrics = common::MetricsRegistry::Global();

@@ -13,11 +13,6 @@
 
 namespace dbsherlock::service {
 
-/// Reflected CRC-32 (poly 0xEDB88320, zlib variant). Shared by the WAL
-/// record framing below and the MODELSYNC replication payload check, so
-/// both ends of a model transfer agree on the checksum byte-for-byte.
-uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
-
 /// Durability layer around core::ModelRepository: the causal knowledge the
 /// service accumulates (Section 6 of the paper, "over the lifetime of a
 /// database operation") must survive daemon restarts, and is shared by
@@ -31,7 +26,7 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 ///
 ///     offset  size  field
 ///     0       4     payload length `len` (uint32, little-endian)
-///     4       4     CRC-32 (reflected, poly 0xEDB88320) of bytes [8, 16+len)
+///     4       4     common::Crc32 of bytes [8, 16+len)
 ///     8       8     sequence number (uint64, little-endian, starts at 1)
 ///     16      len   payload: one causal model, compact model_io JSON
 ///

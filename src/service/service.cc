@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <numeric>
 
+#include "common/crc32.h"
 #include "common/faultenv.h"
 #include "common/metrics.h"
 #include "common/simd/simd.h"
@@ -505,21 +507,10 @@ Result<common::JsonValue> Service::DiagnoseRangeJson(
   scan.max_rows = options_.max_range_rows;
   tsdata::Dataset window(t->history->schema());
   store::ScanVisitor visitor;
-  visitor.on_chunk = [&](const tsdata::Dataset& chunk) -> Status {
-    std::vector<tsdata::Cell> cells(chunk.num_attributes());
-    for (size_t row = 0; row < chunk.num_rows(); ++row) {
-      for (size_t i = 0; i < chunk.num_attributes(); ++i) {
-        const tsdata::Column& column = chunk.column(i);
-        if (column.kind() == tsdata::AttributeKind::kNumeric) {
-          cells[i] = column.numeric(row);
-        } else {
-          cells[i] = column.CategoryName(column.code(row));
-        }
-      }
-      DBSHERLOCK_RETURN_NOT_OK(
-          window.AppendRowUnchecked(chunk.timestamp(row), cells));
-    }
-    return Status::OK();
+  visitor.on_chunk = [&](const tsdata::Dataset& chunk) {
+    std::vector<size_t> rows(chunk.num_rows());
+    std::iota(rows.begin(), rows.end(), size_t{0});
+    return window.AppendRows(chunk, rows);
   };
   visitor.on_reset = [&] { window = tsdata::Dataset(t->history->schema()); };
   store::ScanStats stats;
@@ -784,7 +775,7 @@ common::JsonValue Service::ModelSyncJson(uint64_t since_seq) const {
   common::JsonValue models_json{std::move(models)};
   std::string text = models_json.Dump();
   out["last_seq"] = static_cast<double>(last_seq);
-  out["crc"] = static_cast<double>(Crc32(text.data(), text.size()));
+  out["crc"] = static_cast<double>(common::Crc32(text.data(), text.size()));
   out["models"] = std::move(models_json);
   return common::JsonValue(std::move(out));
 }

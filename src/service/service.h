@@ -172,8 +172,8 @@ class Service {
   /// Replication pull response (MODELSYNC verb, DESIGN.md §15):
   /// {"last_seq":N,"crc":C,"models":[...]}. `models` holds the full
   /// corpus when the store has advanced past `since_seq` and is empty
-  /// when the caller is current; `crc` is Crc32 over the compact dump of
-  /// the models array so a torn transfer is detected before apply.
+  /// when the caller is current; `crc` is common::Crc32 over the compact
+  /// dump of the models array so a torn transfer is detected before apply.
   common::JsonValue ModelSyncJson(uint64_t since_seq) const;
 
   /// Stops accepting, drains acked rows and in-flight diagnoses, joins

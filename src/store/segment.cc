@@ -1,11 +1,12 @@
 #include "store/segment.h"
 
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/strings.h"
 
 namespace dbsherlock::store {
@@ -39,26 +40,6 @@ constexpr uint32_t kMaxBlock = 64u << 20;
 constexpr uint32_t kMaxAttributes = 4096;
 constexpr uint32_t kMaxNameLen = 4096;
 constexpr uint64_t kMaxRows = 1u << 28;
-
-/// Reflected CRC-32 (poly 0xEDB88320), matching the service WAL framing.
-uint32_t Crc32(const uint8_t* data, size_t n) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return table;
-  }();
-  uint32_t crc = ~0u;
-  for (size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
 
 void AppendU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
@@ -181,38 +162,73 @@ class BitWriter {
   int used_ = 0;  // bits used in the last byte (0 = byte boundary)
 };
 
-/// MSB-first bounds-checked bit reader.
+/// MSB-first bounds-checked bit reader over a 64-bit window. A refill
+/// loads up to eight bytes at once; every read is checked against the bits
+/// left in the stream, so a torn or hostile block fails cleanly.
 class BitReader {
  public:
-  explicit BitReader(std::string_view data) : data_(data) {}
+  explicit BitReader(std::string_view data)
+      : data_(data), bits_left_(static_cast<uint64_t>(data.size()) * 8) {}
 
-  Status ReadBit(bool* out) {
-    if (byte_ >= data_.size()) {
+  /// Reads `n` (0..64) bits, most significant first.
+  Status ReadBits(int n, uint64_t* out) {
+    if (static_cast<uint64_t>(n) > bits_left_) {
       return Status::ParseError("segment: bit stream exhausted");
     }
-    *out = (static_cast<uint8_t>(data_[byte_]) >> (7 - bit_)) & 1u;
-    if (++bit_ == 8) {
-      bit_ = 0;
-      ++byte_;
+    bits_left_ -= static_cast<uint64_t>(n);
+    if (n > kMaxTake) {
+      uint64_t high = Take(n - 32);
+      *out = (high << 32) | Take(32);
+    } else {
+      *out = n == 0 ? 0 : Take(n);
     }
     return Status::OK();
   }
 
-  Status ReadBits(int n, uint64_t* out) {
-    uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      bool bit = false;
-      DBSHERLOCK_RETURN_NOT_OK(ReadBit(&bit));
-      v = (v << 1) | (bit ? 1u : 0u);
-    }
-    *out = v;
+  Status ReadBit(bool* out) {
+    uint64_t bit = 0;
+    DBSHERLOCK_RETURN_NOT_OK(ReadBits(1, &bit));
+    *out = bit != 0;
     return Status::OK();
   }
 
  private:
+  /// A refill leaves at least this many bits in the window.
+  static constexpr int kMaxTake = 56;
+
+  /// Pops 1..kMaxTake bits the caller has already bounds-checked.
+  uint64_t Take(int n) {
+    if (avail_ < n) Refill();
+    uint64_t v = window_ >> (64 - n);
+    window_ <<= n;
+    avail_ -= n;
+    return v;
+  }
+
+  /// Tops the window up to 56..63 bits. The fast path ORs in a whole
+  /// big-endian word; bits past `avail_` are the next stream bits, so
+  /// re-ORing them on the following refill is idempotent. Near the end
+  /// of the block it falls back to whole bytes.
+  void Refill() {
+    const auto* p = reinterpret_cast<const uint8_t*>(data_.data()) + pos_;
+    if (pos_ + 8 <= data_.size()) {
+      uint64_t word = 0;
+      for (int i = 0; i < 8; ++i) word = (word << 8) | p[i];
+      window_ |= word >> avail_;
+      pos_ += static_cast<size_t>(63 - avail_) >> 3;
+      avail_ |= 56;
+      return;
+    }
+    for (; avail_ <= 56 && pos_ < data_.size(); ++pos_, ++p, avail_ += 8) {
+      window_ |= static_cast<uint64_t>(*p) << (56 - avail_);
+    }
+  }
+
   std::string_view data_;
-  size_t byte_ = 0;
-  int bit_ = 0;
+  uint64_t bits_left_;   // unread bits in the whole stream
+  size_t pos_ = 0;       // next byte to load into the window
+  uint64_t window_ = 0;  // unread bits, left-aligned
+  int avail_ = 0;        // valid bits at the top of window_
 };
 
 // --- Gorilla XOR value stream ------------------------------------------
@@ -290,14 +306,14 @@ class XorDecoder {
     bool new_window = false;
     DBSHERLOCK_RETURN_NOT_OK(in_->ReadBit(&new_window));
     if (new_window) {
-      uint64_t leading = 0, len_minus_1 = 0;
-      DBSHERLOCK_RETURN_NOT_OK(in_->ReadBits(5, &leading));
-      DBSHERLOCK_RETURN_NOT_OK(in_->ReadBits(6, &len_minus_1));
-      int len = static_cast<int>(len_minus_1) + 1;
-      if (static_cast<int>(leading) + len > 64) {
+      uint64_t header = 0;  // 5-bit leading | 6-bit (len - 1)
+      DBSHERLOCK_RETURN_NOT_OK(in_->ReadBits(11, &header));
+      int leading = static_cast<int>(header >> 6);
+      int len = static_cast<int>(header & 0x3F) + 1;
+      if (leading + len > 64) {
         return Status::ParseError("segment: xor window exceeds 64 bits");
       }
-      lead_ = static_cast<int>(leading);
+      lead_ = leading;
       trail_ = 64 - lead_ - len;
       window_valid_ = true;
     } else if (!window_valid_) {
@@ -350,8 +366,10 @@ class TimestampEncoder {
     if (row_ == 0) {
       out_->WriteBits(bits, 64);
     } else {
-      int64_t delta = static_cast<int64_t>(bits - prev_bits_);
-      int64_t dd = delta - prev_delta_;
+      // Deltas wrap modulo 2^64 (timestamps crossing zero flip the sign
+      // bit), so subtract unsigned: the same bits, without signed overflow.
+      uint64_t delta = bits - prev_bits_;
+      int64_t dd = static_cast<int64_t>(delta - prev_delta_);
       uint64_t zz = ZigZag(dd);
       if (dd == 0) {
         out_->WriteBit(false);
@@ -381,7 +399,7 @@ class TimestampEncoder {
   BitWriter* out_;
   uint64_t row_ = 0;
   uint64_t prev_bits_ = 0;
-  int64_t prev_delta_ = 0;
+  uint64_t prev_delta_ = 0;
 };
 
 class TimestampDecoder {
@@ -406,8 +424,8 @@ class TimestampDecoder {
         DBSHERLOCK_RETURN_NOT_OK(in_->ReadBits(kWidth[prefix], &zz));
         dd = UnZigZag(zz);
       }
-      prev_delta_ += dd;
-      prev_bits_ += static_cast<uint64_t>(prev_delta_);
+      prev_delta_ += static_cast<uint64_t>(dd);  // wraps, as encoded
+      prev_bits_ += prev_delta_;
     }
     ++row_;
     *out = std::bit_cast<double>(prev_bits_);
@@ -418,15 +436,14 @@ class TimestampDecoder {
   BitReader* in_;
   uint64_t row_ = 0;
   uint64_t prev_bits_ = 0;
-  int64_t prev_delta_ = 0;
+  uint64_t prev_delta_ = 0;
 };
 
 // --- Block assembly -----------------------------------------------------
 
 void AppendBlock(std::string* out, const std::string& payload) {
   AppendU32(out, static_cast<uint32_t>(payload.size()));
-  AppendU32(out, Crc32(reinterpret_cast<const uint8_t*>(payload.data()),
-                       payload.size()));
+  AppendU32(out, common::Crc32(payload.data(), payload.size()));
   out->append(payload);
 }
 
@@ -527,9 +544,7 @@ Status NextBlock(std::string_view* bytes, std::string_view* payload) {
     return Status::ParseError("segment: truncated block");
   }
   *payload = bytes->substr(kBlockHeaderSize, len);
-  uint32_t actual = Crc32(reinterpret_cast<const uint8_t*>(payload->data()),
-                          payload->size());
-  if (actual != crc) {
+  if (common::Crc32(payload->data(), payload->size()) != crc) {
     return Status::ParseError("segment: block checksum mismatch");
   }
   bytes->remove_prefix(kBlockHeaderSize + len);
@@ -634,6 +649,131 @@ Status ConsumeZoneFooter(std::string_view tail, ZoneMap* zones) {
   return DecodeZoneBlock(payload, zones);
 }
 
+/// Inflates a timestamp block into `rows` timestamps.
+Status DecodeTimestampBlock(std::string_view payload, uint64_t rows,
+                            std::vector<double>* out) {
+  // Row 0 takes 64 bits and every later row at least one: reject a short
+  // block before sizing the output from its (untrusted) row count.
+  if (rows > 0 && payload.size() * 8 < 63 + rows) {
+    return Status::ParseError("segment: bit stream exhausted");
+  }
+  out->resize(rows);
+  BitReader bits(payload);
+  TimestampDecoder decoder(&bits);
+  for (double& ts : *out) DBSHERLOCK_RETURN_NOT_OK(decoder.Next(&ts));
+  return Status::OK();
+}
+
+/// Inflates one column block straight into column storage.
+Result<tsdata::Column> DecodeColumnBlock(std::string_view payload,
+                                         tsdata::AttributeKind kind,
+                                         uint64_t rows) {
+  if (kind == tsdata::AttributeKind::kNumeric) {
+    if (rows > 0 && payload.size() * 8 < 63 + rows) {
+      return Status::ParseError("segment: bit stream exhausted");
+    }
+    std::vector<double> values(rows);
+    BitReader bits(payload);
+    XorDecoder decoder(&bits);
+    for (double& v : values) {
+      uint64_t pattern = 0;
+      DBSHERLOCK_RETURN_NOT_OK(decoder.Next(&pattern));
+      v = std::bit_cast<double>(pattern);
+    }
+    return tsdata::Column::FromNumeric(std::move(values));
+  }
+  ByteReader reader(payload);
+  uint32_t dict_size = 0;
+  DBSHERLOCK_RETURN_NOT_OK(reader.ReadU32(&dict_size));
+  if (dict_size > payload.size()) {
+    return Status::ParseError("segment: dictionary size exceeds block");
+  }
+  std::vector<std::string> dict;
+  dict.reserve(dict_size);
+  for (uint32_t d = 0; d < dict_size; ++d) {
+    uint32_t len = 0;
+    DBSHERLOCK_RETURN_NOT_OK(reader.ReadU32(&len));
+    std::string_view name;
+    DBSHERLOCK_RETURN_NOT_OK(reader.ReadBytes(len, &name));
+    dict.emplace_back(name);
+  }
+  if (rows > reader.remaining()) {  // every varint code takes a byte
+    return Status::ParseError("segment: truncated varint");
+  }
+  std::vector<int32_t> codes(rows);
+  for (int32_t& code : codes) {
+    uint64_t v = 0;
+    DBSHERLOCK_RETURN_NOT_OK(reader.ReadVarint(&v));
+    if (v >= dict.size()) {
+      return Status::ParseError("segment: category code out of range");
+    }
+    code = static_cast<int32_t>(v);
+  }
+  return tsdata::Column::FromCodes(std::move(dict), std::move(codes));
+}
+
+/// The one segment read path. Walks every block in order and verifies
+/// each CRC (NextBlock), but inflates only the timestamps and the columns
+/// in `*projection` (all of them when null), decoding straight into
+/// column storage.
+Result<tsdata::Dataset> Decode(std::string_view bytes,
+                               const std::span<const size_t>* projection) {
+  uint32_t version = 0;
+  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&bytes, &version));
+  std::string_view payload;
+  DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
+  SegmentMeta meta;
+  DBSHERLOCK_RETURN_NOT_OK(DecodeMetaBlock(payload, &meta));
+  const size_t nattrs = meta.schema.num_attributes();
+  tsdata::Schema schema;
+  if (projection == nullptr) {
+    schema = meta.schema;
+  } else {
+    for (size_t i = 0; i < projection->size(); ++i) {
+      size_t attr = (*projection)[i];
+      if (attr >= nattrs || (i > 0 && attr <= (*projection)[i - 1])) {
+        return Status::InvalidArgument(
+            "segment: projection must list ascending schema columns");
+      }
+      DBSHERLOCK_RETURN_NOT_OK(
+          schema.AddAttribute(meta.schema.attribute(attr)));
+    }
+  }
+
+  DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
+  std::vector<double> timestamps;
+  DBSHERLOCK_RETURN_NOT_OK(
+      DecodeTimestampBlock(payload, meta.rows, &timestamps));
+
+  std::vector<tsdata::Column> columns;
+  columns.reserve(schema.num_attributes());
+  size_t next = 0;  // next projection entry
+  for (size_t i = 0; i < nattrs; ++i) {
+    DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
+    if (projection != nullptr) {
+      if (next == projection->size() || (*projection)[next] != i) continue;
+      ++next;
+    }
+    auto column =
+        DecodeColumnBlock(payload, meta.schema.attribute(i).kind, meta.rows);
+    if (!column.ok()) return column.status();
+    columns.push_back(std::move(*column));
+  }
+  if (version == kVersionV2) {
+    // The footer is required: a v2 blob whose zone block was torn off is
+    // corrupt, same as a missing column block.
+    ZoneMap zones;
+    DBSHERLOCK_RETURN_NOT_OK(ConsumeZoneFooter(bytes, &zones));
+    if (zones.rows != meta.rows) {
+      return Status::ParseError("segment: zone map disagrees with meta");
+    }
+  } else if (!bytes.empty()) {
+    return Status::ParseError("segment: trailing bytes after last block");
+  }
+  return tsdata::Dataset::FromColumns(std::move(schema), std::move(timestamps),
+                                      std::move(columns));
+}
+
 }  // namespace
 
 ZoneMap ComputeZoneMap(const tsdata::Dataset& data) {
@@ -714,98 +854,12 @@ Result<ZoneMap> ReadSegmentZoneMap(std::string_view bytes) {
 }
 
 Result<tsdata::Dataset> DecodeSegment(std::string_view bytes) {
-  uint32_t version = 0;
-  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&bytes, &version));
-  std::string_view payload;
-  DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
-  SegmentMeta meta;
-  DBSHERLOCK_RETURN_NOT_OK(DecodeMetaBlock(payload, &meta));
+  return Decode(bytes, nullptr);
+}
 
-  // Timestamps.
-  DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
-  std::vector<double> timestamps;
-  timestamps.reserve(meta.rows);
-  {
-    BitReader bits(payload);
-    TimestampDecoder decoder(&bits);
-    for (uint64_t i = 0; i < meta.rows; ++i) {
-      double ts = 0.0;
-      DBSHERLOCK_RETURN_NOT_OK(decoder.Next(&ts));
-      timestamps.push_back(ts);
-    }
-  }
-
-  tsdata::Dataset data(meta.schema);
-  size_t nattrs = meta.schema.num_attributes();
-  // Decode columns straight into the dataset's columnar storage; rows
-  // were validated against the schema when the segment was encoded.
-  std::vector<std::vector<uint64_t>> numeric(nattrs);
-  std::vector<std::vector<std::string>> categorical(nattrs);
-  for (size_t i = 0; i < nattrs; ++i) {
-    DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
-    if (meta.schema.attribute(i).kind == tsdata::AttributeKind::kNumeric) {
-      BitReader bits(payload);
-      XorDecoder decoder(&bits);
-      numeric[i].reserve(meta.rows);
-      for (uint64_t r = 0; r < meta.rows; ++r) {
-        uint64_t v = 0;
-        DBSHERLOCK_RETURN_NOT_OK(decoder.Next(&v));
-        numeric[i].push_back(v);
-      }
-    } else {
-      ByteReader reader(payload);
-      uint32_t dict_size = 0;
-      DBSHERLOCK_RETURN_NOT_OK(reader.ReadU32(&dict_size));
-      if (dict_size > payload.size()) {
-        return Status::ParseError("segment: dictionary size exceeds block");
-      }
-      std::vector<std::string> dict;
-      dict.reserve(dict_size);
-      for (uint32_t d = 0; d < dict_size; ++d) {
-        uint32_t len = 0;
-        DBSHERLOCK_RETURN_NOT_OK(reader.ReadU32(&len));
-        std::string_view name;
-        DBSHERLOCK_RETURN_NOT_OK(reader.ReadBytes(len, &name));
-        dict.emplace_back(name);
-      }
-      categorical[i].reserve(meta.rows);
-      for (uint64_t r = 0; r < meta.rows; ++r) {
-        uint64_t code = 0;
-        DBSHERLOCK_RETURN_NOT_OK(reader.ReadVarint(&code));
-        if (code >= dict.size()) {
-          return Status::ParseError("segment: category code out of range");
-        }
-        categorical[i].push_back(dict[code]);
-      }
-    }
-  }
-  if (version == kVersionV2) {
-    // The footer is required: a v2 blob whose zone block was torn off is
-    // corrupt, same as a missing column block.
-    ZoneMap zones;
-    DBSHERLOCK_RETURN_NOT_OK(ConsumeZoneFooter(bytes, &zones));
-    if (zones.rows != meta.rows) {
-      return Status::ParseError("segment: zone map disagrees with meta");
-    }
-  } else if (!bytes.empty()) {
-    return Status::ParseError("segment: trailing bytes after last block");
-  }
-
-  std::vector<tsdata::Cell> cells(nattrs);
-  for (uint64_t r = 0; r < meta.rows; ++r) {
-    for (size_t i = 0; i < nattrs; ++i) {
-      if (meta.schema.attribute(i).kind == tsdata::AttributeKind::kNumeric) {
-        cells[i] = std::bit_cast<double>(numeric[i][r]);
-      } else {
-        cells[i] = categorical[i][r];
-      }
-    }
-    // Unchecked append: the encoder wrote rows in timestamp order, but a
-    // decoded NaN/odd timestamp must still round-trip bit-identically.
-    DBSHERLOCK_RETURN_NOT_OK(
-        data.AppendRowUnchecked(timestamps[r], cells));
-  }
-  return data;
+Result<tsdata::Dataset> DecodeSegment(std::string_view bytes,
+                                      std::span<const size_t> columns) {
+  return Decode(bytes, &columns);
 }
 
 }  // namespace dbsherlock::store

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,6 +75,17 @@ std::string EncodeSegment(const tsdata::Dataset& data);
 /// Every length, count, and checksum is validated; corrupt or truncated
 /// input yields a clean error Status, never UB.
 common::Result<tsdata::Dataset> DecodeSegment(std::string_view bytes);
+
+/// Projected decode (DESIGN.md §11): inflates the timestamps and only the
+/// schema columns listed in `columns` (strictly ascending indices). The
+/// result's schema holds just those attributes in schema order, so one
+/// column gives a one-attribute dataset and an empty projection the
+/// timestamps alone; its columns are bit-identical to the same columns of
+/// a full decode. Blocks outside the projection are not inflated, but
+/// their CRC-32 is verified and the zone footer is validated, so a torn or
+/// bit-flipped blob fails here exactly as it fails a full decode.
+common::Result<tsdata::Dataset> DecodeSegment(std::string_view bytes,
+                                              std::span<const size_t> columns);
 
 /// Decodes only the meta block (schema, row count, time range). Cheap:
 /// does not touch the timestamp or column blocks beyond their framing.

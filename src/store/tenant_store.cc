@@ -10,8 +10,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <optional>
-#include <thread>
 
 #include "common/faultenv.h"
 #include "common/metrics.h"
@@ -369,24 +369,6 @@ void TenantStore::SetRetention(uint64_t retain_bytes, double retain_age_sec) {
   options_.retain_age_sec = retain_age_sec;
 }
 
-Status TenantStore::AppendRange(const tsdata::Dataset& src, double t0,
-                                double t1, tsdata::Dataset* dst) const {
-  std::vector<tsdata::Cell> cells(src.num_attributes());
-  for (size_t row : src.RowsInTimeRange(t0, t1)) {
-    for (size_t i = 0; i < src.num_attributes(); ++i) {
-      const tsdata::Column& column = src.column(i);
-      if (column.kind() == tsdata::AttributeKind::kNumeric) {
-        cells[i] = column.numeric(row);
-      } else {
-        cells[i] = column.CategoryName(column.code(row));
-      }
-    }
-    DBSHERLOCK_RETURN_NOT_OK(
-        dst->AppendRowUnchecked(src.timestamp(row), cells));
-  }
-  return Status::OK();
-}
-
 namespace {
 
 /// An AttributeBound resolved to a schema index.
@@ -420,35 +402,29 @@ Status ResolveBounds(const tsdata::Schema& schema,
   return Status::OK();
 }
 
-/// Copies the rows of `src` inside [t0, t1) that satisfy every bound
-/// (NaN never matches) into a fresh dataset.
-Result<tsdata::Dataset> FilterChunk(const tsdata::Dataset& src, double t0,
-                                    double t1,
-                                    const std::vector<ResolvedBound>& bounds) {
-  tsdata::Dataset dst(src.schema());
-  std::vector<tsdata::Cell> cells(src.num_attributes());
-  for (size_t row : src.RowsInTimeRange(t0, t1)) {
-    bool pass = true;
+/// Keeps the rows of `src` inside [t0, t1) that satisfy every bound (NaN
+/// never matches). A segment that passes whole is returned without a copy.
+tsdata::Dataset FilterChunk(tsdata::Dataset src, double t0, double t1,
+                            const std::vector<ResolvedBound>& bounds) {
+  std::vector<size_t> rows = src.RowsInTimeRange(t0, t1);
+  std::erase_if(rows, [&](size_t row) {
     for (const ResolvedBound& b : bounds) {
       double v = src.column(b.attr).numeric(row);
-      if (!(v >= b.lo && v <= b.hi)) {  // NaN fails both comparisons
-        pass = false;
-        break;
-      }
+      if (!(v >= b.lo && v <= b.hi)) return true;  // NaN fails both
     }
-    if (!pass) continue;
-    for (size_t i = 0; i < src.num_attributes(); ++i) {
-      const tsdata::Column& column = src.column(i);
-      if (column.kind() == tsdata::AttributeKind::kNumeric) {
-        cells[i] = column.numeric(row);
-      } else {
-        cells[i] = column.CategoryName(column.code(row));
-      }
-    }
-    DBSHERLOCK_RETURN_NOT_OK(
-        dst.AppendRowUnchecked(src.timestamp(row), cells));
-  }
+    return false;
+  });
+  if (rows.size() == src.num_rows()) return src;
+  tsdata::Dataset dst(src.schema());
+  (void)dst.AppendRows(src, rows);  // same schema, rows in range
   return dst;
+}
+
+/// Indices of the last `n` rows of `data` (all of them when it has fewer).
+std::vector<size_t> TailRows(const tsdata::Dataset& data, size_t n) {
+  std::vector<size_t> rows(std::min(n, data.num_rows()));
+  std::iota(rows.begin(), rows.end(), data.num_rows() - rows.size());
+  return rows;
 }
 
 /// Per-segment result of the parallel decode stage.
@@ -458,8 +434,8 @@ struct SegmentChunk {
   bool not_found = false;
 };
 
-SegmentChunk DecodeAndFilter(const SegmentInfo& seg, double t0, double t1,
-                             const std::vector<ResolvedBound>& bounds) {
+SegmentChunk ReadSegment(const SegmentInfo& seg,
+                         const std::optional<std::vector<size_t>>& columns) {
   SegmentChunk out;
   std::string blob;
   out.status = ReadFile(seg.path, &blob);
@@ -467,22 +443,79 @@ SegmentChunk DecodeAndFilter(const SegmentInfo& seg, double t0, double t1,
     out.not_found = out.status.code() == common::StatusCode::kNotFound;
     return out;
   }
-  auto decoded = DecodeSegment(blob);
+  auto decoded =
+      columns.has_value() ? DecodeSegment(blob, *columns) : DecodeSegment(blob);
   if (!decoded.ok()) {
     out.status = Status::IoError("corrupt sealed segment " + seg.path +
                                  ": " + decoded.status().message());
     return out;
   }
-  auto filtered = FilterChunk(*decoded, t0, t1, bounds);
-  if (!filtered.ok()) {
-    out.status = filtered.status();
-    return out;
-  }
-  out.chunk = std::move(*filtered);
+  out.chunk = std::move(*decoded);
   return out;
 }
 
 }  // namespace
+
+Status TenantStore::ReadSegments(const SegmentRead& read, Snapshot* snapshot,
+                                 size_t* decoded, size_t* retries) const {
+  constexpr size_t kMaxAttempts = 3;
+  // Ordered batches bound peak memory (a handful of inflated segments per
+  // lane) and let `stop` end a read early; ordered delivery keeps results
+  // bit-identical across parallelism settings.
+  const size_t batch = 4 * common::EffectiveParallelism(read.parallelism);
+  for (size_t attempt = 0;; ++attempt) {
+    *decoded = 0;
+    *retries = attempt;
+    {
+      std::shared_lock lock(mu_);
+      snapshot->segments = segments_;
+      snapshot->active = active_;
+      snapshot->generation = retention_generation_;
+    }
+    std::vector<size_t> plan;
+    DBSHERLOCK_RETURN_NOT_OK(read.plan(*snapshot, &plan));
+    Status status;
+    bool stop = false;
+    bool missing = false;
+    for (size_t base = 0; base < plan.size() && !stop && status.ok();
+         base += batch) {
+      size_t count = std::min(batch, plan.size() - base);
+      std::vector<SegmentChunk> results = common::ParallelMap(
+          count,
+          [&](size_t i) {
+            return ReadSegment(snapshot->segments[plan[base + i]],
+                               read.columns);
+          },
+          read.parallelism);
+      *decoded += count;
+      for (size_t i = 0; i < count && !stop && status.ok(); ++i) {
+        missing = results[i].not_found;
+        status = results[i].status.ok()
+                     ? read.consume(base + i, std::move(results[i].chunk),
+                                    &stop)
+                     : results[i].status;
+      }
+    }
+    if (!missing) return status;
+    {
+      std::shared_lock lock(mu_);
+      if (snapshot->generation == retention_generation_) {
+        return Status::IoError("sealed segment vanished outside retention: " +
+                               status.message());
+      }
+    }
+    scan_retries_.fetch_add(1, std::memory_order_relaxed);
+    common::MetricsRegistry::Global()
+        .GetCounter("store.scan_retention_retries")
+        ->Increment();
+    if (attempt + 1 >= kMaxAttempts) {
+      return Status::IoError("scan raced retention " +
+                             std::to_string(kMaxAttempts) +
+                             " times; giving up: " + status.message());
+    }
+    if (read.on_retry) read.on_retry();
+  }
+}
 
 Result<tsdata::Dataset> TenantStore::Scan(double t0, double t1) const {
   ScanOptions options;
@@ -498,8 +531,7 @@ Result<tsdata::Dataset> TenantStore::ScanWithOptions(
   ScanVisitor visitor;
   visitor.on_chunk = [&](const tsdata::Dataset& chunk) {
     // Chunks arrive already filtered; stitch them verbatim.
-    return AppendRange(chunk, -std::numeric_limits<double>::infinity(),
-                       std::numeric_limits<double>::infinity(), &out);
+    return out.AppendRows(chunk, TailRows(chunk, chunk.num_rows()));
   };
   visitor.on_reset = [&] { out = tsdata::Dataset(options_.schema); };
   DBSHERLOCK_RETURN_NOT_OK(ScanVisit(options, visitor, stats));
@@ -515,27 +547,79 @@ Status TenantStore::ScanVisit(const ScanOptions& options,
   if (!(options.t0 < options.t1)) {
     return Status::InvalidArgument("scan range must satisfy t0 < t1");
   }
-  // A scan that raced retention restarts from a fresh snapshot; the
-  // attempt cap turns a pathological churn loop into an honest error.
-  constexpr int kMaxAttempts = 3;
   ScanStats local;
-  Status status;
-  for (int attempt = 0;; ++attempt) {
-    local = ScanStats{};
-    local.retries = static_cast<size_t>(attempt);
-    bool raced = false;
-    status = ScanVisitOnce(options, visitor, &local, &raced);
-    if (status.ok() || !raced) break;
-    scan_retries_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("store.scan_retention_retries")->Increment();
-    if (attempt + 1 >= kMaxAttempts) {
-      status = Status::IoError(
-          "scan raced retention " + std::to_string(kMaxAttempts) +
-          " times; giving up: " + status.message());
-      break;
+  // Deliver a filtered chunk, honouring the row cap. After the cap is
+  // reached the scan keeps decoding only until one more matching row
+  // proves truncation — so `truncated` is exact, never a guess.
+  auto deliver = [&](const tsdata::Dataset& chunk) -> Status {
+    if (chunk.num_rows() == 0 || local.truncated) return Status::OK();
+    if (options.max_rows > 0) {
+      if (local.rows_out >= options.max_rows) {
+        local.truncated = true;
+        return Status::OK();
+      }
+      if (local.rows_out + chunk.num_rows() > options.max_rows) {
+        size_t take = static_cast<size_t>(options.max_rows - local.rows_out);
+        local.rows_out = options.max_rows;
+        local.truncated = true;
+        return visitor.on_chunk(chunk.Slice(0, take));
+      }
     }
-    if (visitor.on_reset) visitor.on_reset();
+    local.rows_out += chunk.num_rows();
+    return visitor.on_chunk(chunk);
+  };
+
+  std::vector<ResolvedBound> bounds;
+  SegmentRead read;
+  read.parallelism = options.parallelism;
+  read.plan = [&](const Snapshot& snapshot, std::vector<size_t>* plan) {
+    local = ScanStats{};
+    local.segments_total = snapshot.segments.size();
+    // Prune segments that provably cannot contribute. The time test
+    // compares [min_ts, max_ts] against the half-open [t0, t1); the zone
+    // test consults the per-attribute min/max written at seal time.
+    for (size_t s = 0; s < snapshot.segments.size(); ++s) {
+      const SegmentInfo& seg = snapshot.segments[s];
+      if (options.prune) {
+        if (seg.max_ts < options.t0 || seg.min_ts >= options.t1) {
+          ++local.segments_skipped_time;
+          continue;
+        }
+        bool zone_skip =
+            seg.zones.attrs.size() == options_.schema.num_attributes() &&
+            std::any_of(bounds.begin(), bounds.end(),
+                        [&](const ResolvedBound& b) {
+                          return seg.zones.attrs[b.attr].CannotMatch(b.lo,
+                                                                     b.hi);
+                        });
+        if (zone_skip) {
+          ++local.segments_skipped_zone;
+          continue;
+        }
+      }
+      plan->push_back(s);
+    }
+    return Status::OK();
+  };
+  read.consume = [&](size_t, tsdata::Dataset segment, bool* stop) {
+    Status status = deliver(
+        FilterChunk(std::move(segment), options.t0, options.t1, bounds));
+    *stop = local.truncated;
+    return status;
+  };
+  read.on_retry = visitor.on_reset;
+  Snapshot snapshot;
+  size_t decoded = 0;
+  size_t retries = 0;
+  Status status = ResolveBounds(options_.schema, options.bounds, &bounds);
+  if (status.ok()) status = ReadSegments(read, &snapshot, &decoded, &retries);
+  if (status.ok()) {
+    status = deliver(FilterChunk(std::move(snapshot.active), options.t0,
+                                 options.t1, bounds));
   }
+  local.segments_decoded = decoded;
+  local.retries = retries;
+
   scans_total_.fetch_add(1, std::memory_order_relaxed);
   scan_segments_skipped_.fetch_add(
       local.segments_skipped_time + local.segments_skipped_zone,
@@ -551,214 +635,35 @@ Status TenantStore::ScanVisit(const ScanOptions& options,
   return status;
 }
 
-Status TenantStore::ScanVisitOnce(const ScanOptions& options,
-                                  const ScanVisitor& visitor,
-                                  ScanStats* stats,
-                                  bool* retention_raced) const {
-  *retention_raced = false;
-  std::vector<ResolvedBound> bounds;
-  DBSHERLOCK_RETURN_NOT_OK(
-      ResolveBounds(options_.schema, options.bounds, &bounds));
-
-  // Snapshot under the shared lock: manifest copy, active-tail copy,
-  // retention generation. No file I/O or decompression happens while the
-  // lock is held, so a long retro-scan never stalls Append/Seal.
-  std::vector<SegmentInfo> snapshot;
-  tsdata::Dataset active_copy;
-  uint64_t generation = 0;
-  {
-    std::shared_lock lock(mu_);
-    snapshot = segments_;
-    active_copy = active_;
-    generation = retention_generation_;
-  }
-  stats->segments_total = snapshot.size();
-
-  // Plan: prune segments that provably cannot contribute. The time test
-  // compares [min_ts, max_ts] against the half-open [t0, t1); the zone
-  // test consults the per-attribute min/max written at seal time.
-  std::vector<size_t> plan;
-  plan.reserve(snapshot.size());
-  for (size_t s = 0; s < snapshot.size(); ++s) {
-    const SegmentInfo& seg = snapshot[s];
-    if (options.prune) {
-      if (seg.max_ts < options.t0 || seg.min_ts >= options.t1) {
-        ++stats->segments_skipped_time;
-        continue;
-      }
-      bool zone_skip = false;
-      if (!bounds.empty() &&
-          seg.zones.attrs.size() == options_.schema.num_attributes()) {
-        for (const ResolvedBound& b : bounds) {
-          if (seg.zones.attrs[b.attr].CannotMatch(b.lo, b.hi)) {
-            zone_skip = true;
-            break;
-          }
-        }
-      }
-      if (zone_skip) {
-        ++stats->segments_skipped_zone;
-        continue;
-      }
-    }
-    plan.push_back(s);
-  }
-
-  // Deliver a filtered chunk, honouring the row cap. After the cap is
-  // reached the scan keeps decoding only until one more matching row
-  // proves truncation — so `truncated` is exact, never a guess.
-  uint64_t emitted = 0;
-  bool done = false;
-  auto deliver = [&](const tsdata::Dataset& chunk) -> Status {
-    if (chunk.num_rows() == 0) return Status::OK();
-    if (options.max_rows > 0) {
-      if (emitted >= options.max_rows) {
-        stats->truncated = true;
-        done = true;
-        return Status::OK();
-      }
-      if (emitted + chunk.num_rows() > options.max_rows) {
-        size_t take = static_cast<size_t>(options.max_rows - emitted);
-        tsdata::Dataset head = chunk.Slice(0, take);
-        emitted += take;
-        stats->truncated = true;
-        done = true;
-        stats->rows_out = emitted;
-        return visitor.on_chunk(head);
-      }
-    }
-    emitted += chunk.num_rows();
-    stats->rows_out = emitted;
-    return visitor.on_chunk(chunk);
-  };
-
-  // Decode planned segments in ordered batches outside the lock. Batches
-  // bound peak memory (a handful of inflated segments per lane) and let
-  // the row cap stop the scan early; ordered stitching keeps the output
-  // bit-identical across parallelism settings.
-  size_t lanes = options.parallelism > 0
-                     ? options.parallelism
-                     : std::max<size_t>(1, std::thread::hardware_concurrency());
-  size_t batch = std::max<size_t>(1, 4 * lanes);
-  for (size_t base = 0; base < plan.size() && !done; base += batch) {
-    size_t count = std::min(batch, plan.size() - base);
-    std::vector<SegmentChunk> results = common::ParallelMap(
-        count,
-        [&](size_t i) {
-          return DecodeAndFilter(snapshot[plan[base + i]], options.t0,
-                                 options.t1, bounds);
-        },
-        options.parallelism);
-    stats->segments_decoded += count;
-    for (SegmentChunk& r : results) {
-      if (r.not_found) {
-        std::shared_lock lock(mu_);
-        if (generation != retention_generation_) {
-          *retention_raced = true;
-          return r.status;
-        }
-        return Status::IoError("sealed segment vanished outside retention: " +
-                               r.status.message());
-      }
-      if (!r.status.ok()) return r.status;
-      DBSHERLOCK_RETURN_NOT_OK(deliver(r.chunk));
-      if (done) break;
-    }
-  }
-  if (!done) {
-    auto tail = FilterChunk(active_copy, options.t0, options.t1, bounds);
-    if (!tail.ok()) return tail.status();
-    DBSHERLOCK_RETURN_NOT_OK(deliver(*tail));
-  }
-  return Status::OK();
-}
-
 Result<tsdata::Dataset> TenantStore::ScanTail(size_t max_rows) const {
   TRACE_SPAN("store.scan");
-  tsdata::Dataset out;
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 0;; ++attempt) {
+  tsdata::Dataset out(options_.schema);
+  if (max_rows == 0) return out;
+  std::vector<size_t> take;  // newest rows wanted from each planned segment
+  SegmentRead read;
+  read.plan = [&](const Snapshot& snapshot, std::vector<size_t>* plan) {
     out = tsdata::Dataset(options_.schema);
-    // Snapshot which pieces contribute under the shared lock; read and
-    // decode them afterwards, same discipline as ScanVisitOnce.
-    std::vector<std::pair<SegmentInfo, size_t>> pieces;  // (seg, take)
-    tsdata::Dataset active_copy;
-    size_t active_take = 0;
-    uint64_t generation = 0;
-    {
-      std::shared_lock lock(mu_);
-      generation = retention_generation_;
-      if (max_rows == 0) return out;
-      size_t needed = max_rows;
-      active_take = std::min(active_.num_rows(), needed);
-      needed -= active_take;
-      if (active_take > 0) {
-        active_copy = active_.Slice(active_.num_rows() - active_take,
-                                    active_.num_rows());
-      }
-      for (auto it = segments_.rbegin();
-           it != segments_.rend() && needed > 0; ++it) {
-        size_t take = std::min<size_t>(it->rows, needed);
-        pieces.emplace_back(*it, take);
-        needed -= take;
-      }
-      std::reverse(pieces.begin(), pieces.end());
+    take.clear();
+    size_t needed = max_rows - std::min(snapshot.active.num_rows(), max_rows);
+    for (size_t s = snapshot.segments.size(); s-- > 0 && needed > 0;) {
+      plan->push_back(s);
+      take.push_back(std::min<size_t>(snapshot.segments[s].rows, needed));
+      needed -= take.back();
     }
-
-    std::vector<SegmentChunk> results = common::ParallelMap(
-        pieces.size(), [&](size_t i) {
-          SegmentChunk out_chunk;
-          std::string blob;
-          out_chunk.status = ReadFile(pieces[i].first.path, &blob);
-          if (!out_chunk.status.ok()) {
-            out_chunk.not_found =
-                out_chunk.status.code() == common::StatusCode::kNotFound;
-            return out_chunk;
-          }
-          auto decoded = DecodeSegment(blob);
-          if (!decoded.ok()) {
-            out_chunk.status =
-                Status::IoError("corrupt sealed segment " +
-                                pieces[i].first.path + ": " +
-                                decoded.status().message());
-            return out_chunk;
-          }
-          size_t take = pieces[i].second;
-          out_chunk.chunk =
-              decoded->Slice(decoded->num_rows() - take, decoded->num_rows());
-          return out_chunk;
-        });
-
-    bool raced = false;
-    Status status;
-    for (SegmentChunk& r : results) {
-      if (r.not_found) {
-        std::shared_lock lock(mu_);
-        if (generation != retention_generation_ &&
-            attempt + 1 < kMaxAttempts) {
-          raced = true;
-          scan_retries_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        status = Status::IoError("sealed segment vanished mid-scan: " +
-                                 r.status.message());
-        break;
-      }
-      if (!r.status.ok()) {
-        status = r.status;
-        break;
-      }
-      status = AppendRange(r.chunk, -std::numeric_limits<double>::infinity(),
-                           std::numeric_limits<double>::infinity(), &out);
-      if (!status.ok()) break;
-    }
-    if (raced) continue;
-    DBSHERLOCK_RETURN_NOT_OK(status);
-    DBSHERLOCK_RETURN_NOT_OK(AppendRange(
-        active_copy, -std::numeric_limits<double>::infinity(),
-        std::numeric_limits<double>::infinity(), &out));
-    return out;
-  }
+    std::reverse(plan->begin(), plan->end());
+    std::reverse(take.begin(), take.end());
+    return Status::OK();
+  };
+  read.consume = [&](size_t i, tsdata::Dataset segment, bool*) {
+    return out.AppendRows(segment, TailRows(segment, take[i]));
+  };
+  Snapshot snapshot;
+  size_t decoded = 0;
+  size_t retries = 0;
+  DBSHERLOCK_RETURN_NOT_OK(ReadSegments(read, &snapshot, &decoded, &retries));
+  DBSHERLOCK_RETURN_NOT_OK(
+      out.AppendRows(snapshot.active, TailRows(snapshot.active, max_rows)));
+  return out;
 }
 
 Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
@@ -782,29 +687,28 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
   }
   const size_t attr = *idx;
 
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 0;; ++attempt) {
-    // Snapshot under the shared lock; all file I/O happens outside it,
-    // same discipline as ScanVisitOnce.
-    std::vector<SegmentInfo> snapshot;
-    tsdata::Dataset active_copy;
-    uint64_t generation = 0;
-    {
-      std::shared_lock lock(mu_);
-      snapshot = segments_;
-      active_copy = active_;
-      generation = retention_generation_;
-    }
+  // Per-attempt state, rebuilt by `plan` from each snapshot.
+  QuantileStats local;
+  std::vector<double> active_vals;
+  bool counts_known = true;
+  uint64_t total = 0;
+  uint64_t k = 0;
+  uint64_t known_below = 0;
+  double lo = -std::numeric_limits<double>::infinity();
+  std::vector<double> pool;
 
-    QuantileStats local;
-    local.segments_total = snapshot.size();
+  SegmentRead read;
+  read.columns = std::vector<size_t>{attr};  // inflate the ranked column only
+  read.plan = [&](const Snapshot& snapshot,
+                  std::vector<size_t>* plan) -> Status {
+    local = QuantileStats{};
+    local.segments_total = snapshot.segments.size();
+    pool.clear();
 
     // The active tail is already in memory: its values are exact.
-    std::vector<double> active_vals;
-    if (active_copy.num_rows() > 0) {
-      for (double v : active_copy.column(attr).numeric_values()) {
-        if (!std::isnan(v)) active_vals.push_back(v);
-      }
+    active_vals.clear();
+    for (double v : snapshot.active.column(attr).numeric_values()) {
+      if (!std::isnan(v)) active_vals.push_back(v);
     }
 
     // Zone-map census. A segment without a usable zone map (should not
@@ -817,18 +721,17 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
       uint64_t count = 0;
     };
     std::vector<SegCensus> census;
-    census.reserve(snapshot.size());
-    uint64_t total = active_vals.size();
-    bool counts_known = true;
-    for (size_t s = 0; s < snapshot.size(); ++s) {
+    census.reserve(snapshot.segments.size());
+    total = active_vals.size();
+    counts_known = true;
+    for (size_t s = 0; s < snapshot.segments.size(); ++s) {
       SegCensus c;
       c.idx = s;
-      if (snapshot[s].zones.attrs.size() ==
-          options_.schema.num_attributes()) {
-        const AttrZone& zone = snapshot[s].zones.attrs[attr];
-        c.min = zone.min;
-        c.max = zone.max;
-        c.count = zone.non_nan_count;
+      const ZoneMap& zones = snapshot.segments[s].zones;
+      if (zones.attrs.size() == options_.schema.num_attributes()) {
+        c.min = zones.attrs[attr].min;
+        c.max = zones.attrs[attr].max;
+        c.count = zones.attrs[attr].non_nan_count;
       } else {
         counts_known = false;
       }
@@ -850,8 +753,8 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
     // UB(t) counts values possibly <= t (zone min <= t). The k-th value
     // lies in (lo, hi] where lo is the largest candidate with UB < k and
     // hi the smallest with LB >= k.
-    uint64_t k = 0;
-    double lo = -std::numeric_limits<double>::infinity();
+    k = 0;
+    lo = -std::numeric_limits<double>::infinity();
     double hi = std::numeric_limits<double>::infinity();
     if (counts_known) {
       k = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
@@ -889,103 +792,66 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
 
     // Decode only segments straddling (lo, hi]; fully-below segments
     // contribute their counts, fully-above ones nothing at all.
-    std::vector<size_t> decode_plan;
-    uint64_t known_below = 0;
+    known_below = 0;
     for (const SegCensus& c : census) {
       if (counts_known && c.count == 0) continue;
       if (c.max <= lo) {
         known_below += c.count;
       } else if (c.min <= hi) {
-        decode_plan.push_back(c.idx);
+        plan->push_back(c.idx);
       }
     }
-
-    std::vector<SegmentChunk> results = common::ParallelMap(
-        decode_plan.size(), [&](size_t i) {
-          SegmentChunk out;
-          std::string blob;
-          out.status = ReadFile(snapshot[decode_plan[i]].path, &blob);
-          if (!out.status.ok()) {
-            out.not_found =
-                out.status.code() == common::StatusCode::kNotFound;
-            return out;
-          }
-          auto decoded = DecodeSegment(blob);
-          if (!decoded.ok()) {
-            out.status = Status::IoError(
-                "corrupt sealed segment " + snapshot[decode_plan[i]].path +
-                ": " + decoded.status().message());
-            return out;
-          }
-          out.chunk = std::move(*decoded);
-          return out;
-        });
-    local.segments_decoded = decode_plan.size();
-
-    bool raced = false;
-    Status status;
-    std::vector<double> pool;
-    for (SegmentChunk& r : results) {
-      if (r.not_found) {
-        std::shared_lock lock(mu_);
-        if (generation != retention_generation_ &&
-            attempt + 1 < kMaxAttempts) {
-          raced = true;
-          scan_retries_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        status = Status::IoError("sealed segment vanished mid-quantile: " +
-                                 r.status.message());
-        break;
-      }
-      if (!r.status.ok()) {
-        status = r.status;
-        break;
-      }
-      for (double v : r.chunk.column(attr).numeric_values()) {
-        if (std::isnan(v)) continue;
-        if (counts_known && v <= lo) {
-          ++known_below;
-        } else {
-          pool.push_back(v);
-        }
-      }
-    }
-    if (raced) continue;
-    DBSHERLOCK_RETURN_NOT_OK(status);
-    for (double a : active_vals) {
-      if (counts_known && a <= lo) {
+    return Status::OK();
+  };
+  read.consume = [&](size_t, tsdata::Dataset segment, bool*) {
+    for (double v : segment.column(0).numeric_values()) {
+      if (std::isnan(v)) continue;
+      if (counts_known && v <= lo) {
         ++known_below;
       } else {
-        pool.push_back(a);
+        pool.push_back(v);
       }
     }
-    if (!counts_known) {
-      // Legacy path: everything was decoded; rank over the pool directly.
-      total = pool.size();
-      if (total == 0) {
-        return Status::FailedPrecondition("no non-NaN values stored for '" +
-                                          attribute + "'");
-      }
-      k = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-      if (k < 1) k = 1;
-      if (k > total) k = total;
-      known_below = 0;
+    return Status::OK();
+  };
+  Snapshot snapshot;
+  size_t decoded = 0;
+  size_t retries = 0;
+  DBSHERLOCK_RETURN_NOT_OK(ReadSegments(read, &snapshot, &decoded, &retries));
+  local.segments_decoded = decoded;
+
+  for (double a : active_vals) {
+    if (counts_known && a <= lo) {
+      ++known_below;
+    } else {
+      pool.push_back(a);
     }
-    local.values_total = total;
-    local.rank = k;
-    if (k <= known_below || pool.size() < k - known_below) {
-      return Status::Internal("quantile bracket lost the order statistic ('" +
-                              attribute + "', rank " + std::to_string(k) +
-                              ")");
-    }
-    size_t target = static_cast<size_t>(k - known_below) - 1;
-    std::nth_element(pool.begin(), pool.begin() + target, pool.end());
-    metrics.GetCounter("store.quantile_segments_decoded")
-        ->Increment(local.segments_decoded);
-    if (stats != nullptr) *stats = local;
-    return pool[target];
   }
+  if (!counts_known) {
+    // Legacy path: everything was decoded; rank over the pool directly.
+    total = pool.size();
+    if (total == 0) {
+      return Status::FailedPrecondition("no non-NaN values stored for '" +
+                                        attribute + "'");
+    }
+    k = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
+    if (k < 1) k = 1;
+    if (k > total) k = total;
+    known_below = 0;
+  }
+  local.values_total = total;
+  local.rank = k;
+  if (k <= known_below || pool.size() < k - known_below) {
+    return Status::Internal("quantile bracket lost the order statistic ('" +
+                            attribute + "', rank " + std::to_string(k) +
+                            ")");
+  }
+  size_t target = static_cast<size_t>(k - known_below) - 1;
+  std::nth_element(pool.begin(), pool.begin() + target, pool.end());
+  metrics.GetCounter("store.quantile_segments_decoded")
+      ->Increment(local.segments_decoded);
+  if (stats != nullptr) *stats = local;
+  return pool[target];
 }
 
 size_t TenantStore::num_segments() const {

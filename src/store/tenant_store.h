@@ -59,8 +59,8 @@ struct ScanOptions {
   double t1 = std::numeric_limits<double>::infinity();  // half-open [t0, t1)
   /// Conjunction of per-attribute bounds (numeric attributes only).
   std::vector<AttributeBound> bounds;
-  /// Decode parallelism (0 = hardware lanes, 1 = serial). Results are
-  /// bit-identical across settings — stitching is deterministic.
+  /// Decode parallelism (0 = one lane per usable CPU, 1 = serial). Results
+  /// are bit-identical across settings — stitching is deterministic.
   size_t parallelism = 0;
   /// When false, every sealed segment is read and decoded (rows are still
   /// filtered) — the full-decode baseline the parity tests compare against.
@@ -209,14 +209,44 @@ class TenantStore {
  private:
   explicit TenantStore(Options options);
 
+  /// A consistent view taken under the shared lock; a read does its file
+  /// I/O and decompression after the lock is released.
+  struct Snapshot {
+    std::vector<SegmentInfo> segments;  // manifest, oldest first
+    tsdata::Dataset active;
+    uint64_t generation = 0;  // retention_generation_ when taken
+  };
+
+  /// What one read of the sealed segments does (see ReadSegments).
+  struct SegmentRead {
+    /// Columns to inflate (ascending schema indices); nullopt = all.
+    std::optional<std::vector<size_t>> columns;
+    size_t parallelism = 0;  // decode lanes, as in ScanOptions
+    /// Picks the snapshot segments to decode, in delivery order. Runs once
+    /// per attempt, so it also resets the caller's per-attempt state.
+    std::function<common::Status(const Snapshot&, std::vector<size_t>*)>
+        plan;
+    /// Receives decoded segment `plan[i]`, in plan order; setting `*stop`
+    /// ends the read after it.
+    std::function<common::Status(size_t i, tsdata::Dataset segment,
+                                 bool* stop)>
+        consume;
+    std::function<void()> on_retry;  // optional, before each restart
+  };
+
   common::Status RecoverLocked();
   common::Status SealLocked();
   void EnforceRetentionLocked();
-  common::Status AppendRange(const tsdata::Dataset& src, double t0, double t1,
-                             tsdata::Dataset* dst) const;
-  common::Status ScanVisitOnce(const ScanOptions& options,
-                               const ScanVisitor& visitor, ScanStats* stats,
-                               bool* retention_raced) const;
+  /// The one snapshot → parallel projected decode → retention-retry loop
+  /// behind ScanVisit, ScanTail and ResolveQuantile. Segments decode in
+  /// ordered batches outside the lock; a file unlinked by retention after
+  /// the snapshot restarts the read from a fresh one (at most 3 attempts),
+  /// any other missing file is an IoError. On return `*snapshot` is the
+  /// view the last attempt read (its active tail is the caller's to use),
+  /// `*decoded` counts the segments that attempt inflated and `*retries`
+  /// the restarts.
+  common::Status ReadSegments(const SegmentRead& read, Snapshot* snapshot,
+                              size_t* decoded, size_t* retries) const;
   double last_ts_locked() const;
 
   Options options_;

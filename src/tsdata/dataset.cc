@@ -7,17 +7,69 @@
 
 namespace dbsherlock::tsdata {
 
-void Column::AppendCategorical(const std::string& value) {
-  auto it = dictionary_index_.find(value);
-  int32_t code;
-  if (it == dictionary_index_.end()) {
-    code = static_cast<int32_t>(dictionary_.size());
-    dictionary_.push_back(value);
-    dictionary_index_.emplace(value, code);
-  } else {
-    code = it->second;
+Column Column::FromNumeric(std::vector<double> values) {
+  Column column(AttributeKind::kNumeric);
+  column.numeric_ = std::move(values);
+  return column;
+}
+
+Column Column::FromCodes(std::vector<std::string> dictionary,
+                         std::vector<int32_t> codes) {
+  // Canonical shape: codes introduce entries in dictionary order, and
+  // every entry is used and distinct.
+  int32_t next = 0;
+  bool canonical = true;
+  for (int32_t code : codes) {
+    if (code == next) {
+      ++next;
+    } else if (code > next) {
+      canonical = false;
+      break;
+    }
   }
-  codes_.push_back(code);
+  Column column(AttributeKind::kCategorical);
+  canonical = canonical && static_cast<size_t>(next) == dictionary.size();
+  for (size_t i = 0; canonical && i < dictionary.size(); ++i) {
+    canonical = column.dictionary_index_
+                    .emplace(dictionary[i], static_cast<int32_t>(i))
+                    .second;
+  }
+  if (!canonical) {
+    Column interned(AttributeKind::kCategorical);
+    for (int32_t code : codes) {
+      interned.AppendCategorical(dictionary[static_cast<size_t>(code)]);
+    }
+    return interned;
+  }
+  column.dictionary_ = std::move(dictionary);
+  column.codes_ = std::move(codes);
+  return column;
+}
+
+int32_t Column::Intern(const std::string& value) {
+  // try_emplace looks the key up before allocating a node: most appends
+  // repeat a known category.
+  auto [it, inserted] = dictionary_index_.try_emplace(
+      value, static_cast<int32_t>(dictionary_.size()));
+  if (inserted) dictionary_.push_back(value);
+  return it->second;
+}
+
+void Column::AppendCategorical(const std::string& value) {
+  codes_.push_back(Intern(value));
+}
+
+void Column::AppendRows(const Column& src, std::span<const size_t> rows) {
+  if (kind_ == AttributeKind::kNumeric) {
+    for (size_t row : rows) numeric_.push_back(src.numeric_[row]);
+    return;
+  }
+  std::vector<int32_t> remap(src.dictionary_.size(), -1);
+  for (size_t row : rows) {
+    int32_t& code = remap[static_cast<size_t>(src.codes_[row])];
+    if (code < 0) code = Intern(src.CategoryName(src.codes_[row]));
+    codes_.push_back(code);
+  }
 }
 
 int32_t Column::CodeOf(const std::string& value) const {
@@ -30,6 +82,29 @@ Dataset::Dataset(Schema schema) : schema_(std::move(schema)) {
   for (size_t i = 0; i < schema_.num_attributes(); ++i) {
     columns_.emplace_back(schema_.attribute(i).kind);
   }
+}
+
+common::Result<Dataset> Dataset::FromColumns(Schema schema,
+                                             std::vector<double> timestamps,
+                                             std::vector<Column> columns) {
+  if (columns.size() != schema.num_attributes()) {
+    return common::Status::InvalidArgument(common::StrFormat(
+        "%zu columns for %zu attributes", columns.size(),
+        schema.num_attributes()));
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i].kind() != schema.attribute(i).kind ||
+        columns[i].size() != timestamps.size()) {
+      return common::Status::InvalidArgument(
+          "column " + schema.attribute(i).name +
+          " does not match its attribute kind or the row count");
+    }
+  }
+  Dataset out;
+  out.schema_ = std::move(schema);
+  out.timestamps_ = std::move(timestamps);
+  out.columns_ = std::move(columns);
+  return out;
 }
 
 common::Status Dataset::AppendRow(double timestamp,
@@ -108,20 +183,32 @@ std::vector<size_t> Dataset::RowsInTimeRange(double start, double end) const {
   return rows;
 }
 
-Dataset Dataset::Slice(size_t begin, size_t end) const {
-  Dataset out(schema_);
-  end = std::min(end, num_rows());
-  for (size_t row = begin; row < end; ++row) {
-    out.timestamps_.push_back(timestamps_[row]);
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      if (columns_[c].kind() == AttributeKind::kNumeric) {
-        out.columns_[c].AppendNumeric(columns_[c].numeric(row));
-      } else {
-        out.columns_[c].AppendCategorical(
-            columns_[c].CategoryName(columns_[c].code(row)));
-      }
+common::Status Dataset::AppendRows(const Dataset& src,
+                                   std::span<const size_t> rows) {
+  if (!(src.schema_ == schema_)) {
+    return common::Status::InvalidArgument(
+        "AppendRows: source schema differs");
+  }
+  for (size_t row : rows) {
+    if (row >= src.num_rows()) {
+      return common::Status::InvalidArgument(common::StrFormat(
+          "AppendRows: row %zu of %zu", row, src.num_rows()));
     }
   }
+  for (size_t row : rows) timestamps_.push_back(src.timestamps_[row]);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].AppendRows(src.columns_[c], rows);
+  }
+  return common::Status::OK();
+}
+
+Dataset Dataset::Slice(size_t begin, size_t end) const {
+  Dataset out(schema_);
+  std::vector<size_t> rows;
+  for (size_t row = begin; row < std::min(end, num_rows()); ++row) {
+    rows.push_back(row);
+  }
+  (void)out.AppendRows(*this, rows);  // same schema, rows in range
   return out;
 }
 

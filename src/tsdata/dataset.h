@@ -24,6 +24,17 @@ class Column {
  public:
   explicit Column(AttributeKind kind) : kind_(kind) {}
 
+  /// A numeric column that owns `values` (the segment decoder's path).
+  static Column FromNumeric(std::vector<double> values);
+  /// A categorical column from a dictionary and codes into it (every code
+  /// must index `dictionary`). The result is exactly the column interning
+  /// each row's name in order would build — codes numbered by first
+  /// appearance, no unused or duplicate entries — and when the input
+  /// already has that shape, as every encoded segment does, it is adopted
+  /// without hashing a string per row.
+  static Column FromCodes(std::vector<std::string> dictionary,
+                          std::vector<int32_t> codes);
+
   AttributeKind kind() const { return kind_; }
   size_t size() const {
     return kind_ == AttributeKind::kNumeric ? numeric_.size() : codes_.size();
@@ -48,6 +59,14 @@ class Column {
   int32_t CodeOf(const std::string& value) const;
 
  private:
+  friend class Dataset;
+
+  int32_t Intern(const std::string& value);
+  /// Appends `src` rows `rows` (same kind); categorical codes go through
+  /// one per-call translation table, so each distinct name is interned
+  /// once per call.
+  void AppendRows(const Column& src, std::span<const size_t> rows);
+
   AttributeKind kind_;
   std::vector<double> numeric_;
   std::vector<int32_t> codes_;
@@ -62,6 +81,14 @@ class Dataset {
  public:
   Dataset() = default;
   explicit Dataset(Schema schema);
+
+  /// Assembles a dataset from columnar storage without a per-row rebuild
+  /// (the segment decoder's path). Fails unless `columns` match the
+  /// schema's arity and kinds and each holds one value per timestamp.
+  /// Timestamps are taken as given, like AppendRowUnchecked.
+  static common::Result<Dataset> FromColumns(Schema schema,
+                                             std::vector<double> timestamps,
+                                             std::vector<Column> columns);
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return timestamps_.size(); }
@@ -93,6 +120,13 @@ class Dataset {
 
   /// Row indices whose timestamp lies in [start, end).
   std::vector<size_t> RowsInTimeRange(double start, double end) const;
+
+  /// Appends `src` rows `rows` (indices into `src`, any order) column by
+  /// column: numeric values are copied and categorical codes translated,
+  /// with each distinct name interned once per call rather than once per
+  /// row. `src` must have this dataset's schema. Timestamps are not
+  /// order-checked, like AppendRowUnchecked.
+  common::Status AppendRows(const Dataset& src, std::span<const size_t> rows);
 
   /// Copies rows [begin, end) into a new dataset with the same schema.
   Dataset Slice(size_t begin, size_t end) const;

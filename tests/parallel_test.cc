@@ -1,5 +1,7 @@
 #include "common/parallel.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -13,6 +15,23 @@ namespace {
 
 TEST(EffectiveParallelismTest, ZeroMeansHardwareConcurrencyAtLeastOne) {
   EXPECT_GE(EffectiveParallelism(0), 1u);
+}
+
+TEST(EffectiveParallelismTest, ZeroFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(EffectiveParallelism(0),
+            static_cast<size_t>(CPU_COUNT(&saved)));
+  // Pin the calling thread to one CPU it may already use: lanes follow.
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  size_t pinned = EffectiveParallelism(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
 }
 
 TEST(EffectiveParallelismTest, ExplicitValuesPassThrough) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "simulator/dataset_gen.h"
 #include "tsdata/dataset_io.h"
@@ -308,6 +309,228 @@ TEST(SegmentCodecTest, ZoneMapHandlesNaNAndInfColumns) {
   auto read = ReadSegmentZoneMap(EncodeSegment(d));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->attrs[1].finite_count, 1u);
+}
+
+// --- Projected reads (DESIGN.md §11) -----------------------------------
+
+/// Numeric and categorical columns interleaved, with NaN payloads, -0.0,
+/// ±Inf, denormals, runs of repeats and irregular timestamps.
+Dataset WideRandomDataset(uint64_t seed, size_t rows) {
+  common::Pcg32 rng(seed);
+  Schema schema({{"a", AttributeKind::kNumeric},
+                 {"kind", AttributeKind::kCategorical},
+                 {"b", AttributeKind::kNumeric},
+                 {"c", AttributeKind::kNumeric},
+                 {"host", AttributeKind::kCategorical},
+                 {"d", AttributeKind::kNumeric}});
+  Dataset d(schema);
+  static const char* kNames[] = {"x", "y", "zz", ""};
+  double ts = rng.NextDouble(-50.0, 50.0);
+  std::vector<double> held(4, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    ts += rng.NextBernoulli(0.1) ? rng.NextDouble(1.0, 1e5) : 1.0;
+    std::vector<tsdata::Cell> cells;
+    size_t numeric = 0;
+    for (size_t c = 0; c < schema.num_attributes(); ++c) {
+      if (schema.attribute(c).kind == AttributeKind::kCategorical) {
+        cells.emplace_back(std::string(kNames[rng.NextInt(0, 3)]));
+        continue;
+      }
+      double& h = held[numeric++];
+      switch (rng.NextInt(0, 9)) {
+        case 0: h = std::bit_cast<double>(0x7FF4000000000000ull |
+                                          rng.NextInt(1, 1 << 20));
+                break;  // NaN with a payload
+        case 1: h = -0.0; break;
+        case 2: h = std::numeric_limits<double>::infinity(); break;
+        case 3: h = -std::numeric_limits<double>::infinity(); break;
+        case 4: h = 5e-324; break;
+        case 5: case 6: break;  // repeat
+        default: h = rng.NextGaussian(0.0, 1e3);
+      }
+      cells.emplace_back(h);
+    }
+    EXPECT_TRUE(d.AppendRow(ts, cells).ok());
+  }
+  return d;
+}
+
+void ExpectColumnBitIdentical(const tsdata::Column& a,
+                              const tsdata::Column& b, size_t rows) {
+  ASSERT_EQ(a.kind(), b.kind());
+  ASSERT_EQ(a.size(), rows);
+  ASSERT_EQ(b.size(), rows);
+  for (size_t r = 0; r < rows; ++r) {
+    if (a.kind() == AttributeKind::kNumeric) {
+      EXPECT_TRUE(BitEqual(a.numeric(r), b.numeric(r))) << "row " << r;
+    } else {
+      EXPECT_EQ(a.code(r), b.code(r)) << "row " << r;
+      EXPECT_EQ(a.CategoryName(a.code(r)), b.CategoryName(b.code(r)));
+    }
+  }
+}
+
+void ExpectTimestampsBitIdentical(const Dataset& a, const Dataset& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    EXPECT_TRUE(BitEqual(a.timestamp(r), b.timestamp(r))) << "row " << r;
+  }
+}
+
+TEST(SegmentCodecTest, EverySingleColumnProjectionMatchesTheFullDecode) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Dataset d = WideRandomDataset(seed, /*rows=*/300 + seed);
+    std::string blob = EncodeSegment(d);
+    auto full = DecodeSegment(blob);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ExpectBitIdentical(d, *full);
+    for (size_t c = 0; c < d.num_attributes(); ++c) {
+      const size_t projection[] = {c};
+      auto one = DecodeSegment(blob, projection);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      ASSERT_EQ(one->num_attributes(), 1u);
+      EXPECT_TRUE(one->schema().attribute(0) == d.schema().attribute(c));
+      ExpectTimestampsBitIdentical(*one, *full);
+      ExpectColumnBitIdentical(one->column(0), full->column(c),
+                               full->num_rows());
+    }
+    auto ts_only = DecodeSegment(blob, std::span<const size_t>());
+    ASSERT_TRUE(ts_only.ok()) << ts_only.status().ToString();
+    EXPECT_EQ(ts_only->num_attributes(), 0u);
+    ExpectTimestampsBitIdentical(*ts_only, *full);
+    const size_t every[] = {0, 1, 2, 3, 4, 5};
+    auto all = DecodeSegment(blob, every);
+    ASSERT_TRUE(all.ok());
+    ExpectBitIdentical(*full, *all);
+  }
+}
+
+TEST(SegmentCodecTest, ProjectionMustListAscendingSchemaColumns) {
+  std::string blob = EncodeSegment(WideRandomDataset(3, 16));
+  const size_t descending[] = {2, 0};
+  const size_t duplicate[] = {1, 1};
+  const size_t out_of_range[] = {6};
+  for (std::span<const size_t> bad :
+       {std::span<const size_t>(descending), std::span<const size_t>(duplicate),
+        std::span<const size_t>(out_of_range)}) {
+    auto r = DecodeSegment(blob, bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), common::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SegmentCodecTest, EveryTruncationFailsCleanlyUnderProjection) {
+  std::string blob = EncodeSegment(WideRandomDataset(11, 64));
+  const size_t projection[] = {2};
+  for (size_t len = 0; len < blob.size(); ++len) {
+    auto r = DecodeSegment(std::string_view(blob.data(), len), projection);
+    EXPECT_FALSE(r.ok()) << "prefix of " << len << " bytes decoded";
+  }
+}
+
+TEST(SegmentCodecTest, ByteMutationUnderProjectionFailsOrMatches) {
+  Dataset d = WideRandomDataset(13, 64);
+  std::string blob = EncodeSegment(d);
+  const size_t projection[] = {4};
+  auto expected = DecodeSegment(blob, projection);
+  ASSERT_TRUE(expected.ok());
+  common::Pcg32 rng(99);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutated = blob;
+    size_t pos = static_cast<size_t>(
+        rng.NextInt(0, static_cast<int>(blob.size()) - 1));
+    mutated[pos] ^= static_cast<char>(1 << rng.NextInt(0, 7));
+    auto r = DecodeSegment(mutated, projection);
+    if (r.ok()) {
+      ExpectTimestampsBitIdentical(*expected, *r);
+      ExpectColumnBitIdentical(expected->column(0), r->column(0),
+                               expected->num_rows());
+    }
+  }
+}
+
+/// Offset of block `index`'s payload (0 = meta, 1 = timestamps, 2 + i =
+/// column i) and its length, found by walking the framing.
+std::pair<size_t, size_t> BlockPayload(const std::string& blob,
+                                       size_t index) {
+  auto u32 = [&](size_t at) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>(blob[at + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  size_t at = 8;  // magic + version
+  for (size_t b = 0; b < index; ++b) at += 8 + u32(at);
+  return {at + 8, u32(at)};
+}
+
+TEST(SegmentCodecTest, SkippedBlocksAreStillChecksummed) {
+  Dataset d = WideRandomDataset(29, 128);
+  std::string blob = EncodeSegment(d);
+  const size_t projection[] = {3};
+  ASSERT_TRUE(DecodeSegment(blob, projection).ok());
+  // Flip one bit inside every block the projection does not inflate:
+  // numeric and categorical columns on either side of it.
+  for (size_t column : {0u, 1u, 2u, 4u, 5u}) {
+    auto [offset, len] = BlockPayload(blob, 2 + column);
+    ASSERT_GT(len, 0u);
+    std::string mutated = blob;
+    mutated[offset + len / 2] ^= 0x10;
+    auto r = DecodeSegment(mutated, projection);
+    ASSERT_FALSE(r.ok()) << "flip in skipped column " << column;
+    EXPECT_NE(r.status().message().find("checksum"), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+// --- CRC-32 (common/crc32.h) -------------------------------------------
+
+/// Bit-at-a-time reflected CRC-32: the definition, independent of tables.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(common::Crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(common::Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, SeedChainsPartialChecksums) {
+  // The WAL form: checksum seq, then continue over the payload.
+  common::Pcg32 rng(41);
+  std::string bytes(300, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextInt(0, 255));
+  uint32_t whole = common::Crc32(bytes.data(), bytes.size());
+  for (size_t split : {0u, 1u, 7u, 8u, 9u, 64u, 299u, 300u}) {
+    uint32_t head = common::Crc32(bytes.data(), split);
+    EXPECT_EQ(common::Crc32(bytes.data() + split, bytes.size() - split, head),
+              whole)
+        << "split " << split;
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  common::Pcg32 rng(43);
+  std::vector<uint8_t> buffer(1024 + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextInt(0, 255));
+  for (int trial = 0; trial < 2000; ++trial) {
+    size_t offset = static_cast<size_t>(rng.NextInt(0, 7));
+    size_t len = static_cast<size_t>(trial < 64 ? trial : rng.NextInt(0, 1024));
+    uint32_t seed = trial % 3 == 0 ? 0 : rng.NextU32();
+    EXPECT_EQ(common::Crc32(buffer.data() + offset, len, seed),
+              ReferenceCrc32(buffer.data() + offset, len, seed))
+        << "offset " << offset << " len " << len;
+  }
 }
 
 }  // namespace

@@ -574,25 +574,45 @@ TEST(TenantStoreTest, AppendsAreNotBlockedByASlowScan) {
 
 TEST(TenantStoreTest, ScanRetriesCleanlyWhenRetentionDeletesMidScan) {
   auto store = MustOpen(SmallOptions(StoreDir("race")));
-  Fill(store.get(), 0, 50);  // 5 sealed segments
-  // Stall the scan's first segment read long enough for retention to
-  // unlink snapshotted segments underneath it.
-  ScopedSchedule schedule("seg.read=stall@1,ms=400,limit=1");
-  common::Status scan_status = common::Status::OK();
+  // 10 sealed segments; a serial scan decodes them in batches of 4, so
+  // the third batch's files are opened only after the first chunk is out.
+  Fill(store.get(), 0, 100);
+  ScanOptions opts;
+  opts.parallelism = 1;
+  Dataset rows(TestSchema());
+  bool raced = false;
+  ScanVisitor visitor;
+  visitor.on_chunk = [&](const Dataset& chunk) {
+    if (!raced) {
+      // The scan's own hook drives the race: retention now unlinks every
+      // snapshotted file but the newest, including ones not yet opened.
+      raced = true;
+      store->SetRetention(/*retain_bytes=*/1, /*retain_age_sec=*/0.0);
+      Fill(store.get(), 100, 110);
+    }
+    std::vector<size_t> all(chunk.num_rows());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+    return rows.AppendRows(chunk, all);
+  };
+  visitor.on_reset = [&] { rows = Dataset(TestSchema()); };
   ScanStats stats;
-  std::thread scanner([&] {
-    ScanOptions opts;
-    auto r = store->ScanWithOptions(opts, &stats);
-    scan_status = r.status();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  store->SetRetention(/*retain_bytes=*/1, /*retain_age_sec=*/0.0);
-  Fill(store.get(), 50, 60);  // seal -> retention unlinks the old files
-  scanner.join();
-  // The scan retried against the new manifest instead of failing.
-  ASSERT_TRUE(scan_status.ok()) << scan_status.ToString();
+  common::Status status = store->ScanVisit(opts, visitor, &stats);
+  // The scan retried against the new manifest instead of failing, and
+  // returned exactly what a fresh scan of the post-retention history does.
+  ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_GE(stats.retries, 1u);
   EXPECT_GE(store->scan_retries(), 1u);
+  auto fresh = store->ScanWithOptions(ScanOptions{}, nullptr);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_GT(fresh->num_rows(), 0u);
+  ASSERT_EQ(rows.num_rows(), fresh->num_rows());
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    EXPECT_EQ(rows.timestamp(r), fresh->timestamp(r)) << r;
+    EXPECT_EQ(rows.column(0).numeric(r), fresh->column(0).numeric(r)) << r;
+    EXPECT_EQ(rows.column(1).CategoryName(rows.column(1).code(r)),
+              fresh->column(1).CategoryName(fresh->column(1).code(r)))
+        << r;
+  }
 }
 
 TEST(TenantStoreTest, SegmentVanishingOutsideRetentionIsAnIoError) {

@@ -98,6 +98,35 @@ int ExitCodeFor(const common::Status& status) {
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
 
+/// Blocks SIGINT/SIGTERM in the calling thread and returns the mask to
+/// wait with. `main` calls it before any thread starts: every thread then
+/// inherits the block, so only WaitForStopSignal's sigsuspend can take a
+/// stop signal. A handler run on some other thread would set g_stop
+/// without waking `main`, and the daemon would never stop.
+sigset_t BlockStopSignals() {
+  sigset_t block, unblocked;
+  sigemptyset(&block);
+  sigaddset(&block, SIGINT);
+  sigaddset(&block, SIGTERM);
+  sigprocmask(SIG_BLOCK, &block, &unblocked);
+  return unblocked;
+}
+
+/// Sleeps until SIGINT/SIGTERM. Testing g_stop with the signals blocked
+/// and unblocking them atomically inside sigsuspend closes the
+/// check-then-sleep race; a signal that arrived earlier is pending and is
+/// taken on the first sigsuspend.
+void WaitForStopSignal(const sigset_t& unblocked) {
+  struct sigaction action {};
+  action.sa_handler = HandleSignal;
+  sigaction(SIGINT, &action, nullptr);
+  sigaction(SIGTERM, &action, nullptr);
+  while (g_stop == 0) {
+    sigsuspend(&unblocked);
+  }
+  sigprocmask(SIG_SETMASK, &unblocked, nullptr);
+}
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -191,7 +220,7 @@ int WriteMetricsOutputs(const Args& args) {
   return 0;
 }
 
-int CmdServe(const Args& args) {
+int CmdServe(const Args& args, const sigset_t& unblocked) {
   // A typo'd schedule refuses to start rather than silently running clean.
   if (args.Has("fault-schedule")) {
     common::Status installed =
@@ -297,23 +326,7 @@ int CmdServe(const Args& args) {
   std::printf("LISTENING %d\n", (*server)->port());
   std::fflush(stdout);
 
-  struct sigaction action {};
-  action.sa_handler = HandleSignal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-
-  // Block the stop signals while testing g_stop, and atomically unblock
-  // inside sigsuspend — the classic pattern that closes the
-  // check-then-sleep race.
-  sigset_t block, old;
-  sigemptyset(&block);
-  sigaddset(&block, SIGINT);
-  sigaddset(&block, SIGTERM);
-  sigprocmask(SIG_BLOCK, &block, &old);
-  while (g_stop == 0) {
-    sigsuspend(&old);
-  }
-  sigprocmask(SIG_SETMASK, &old, nullptr);
+  WaitForStopSignal(unblocked);
 
   std::fprintf(stderr, "shutting down: draining tenants...\n");
   if (puller != nullptr) puller->Stop();
@@ -330,7 +343,7 @@ int CmdServe(const Args& args) {
   return WriteMetricsOutputs(args);
 }
 
-int CmdRoute(const Args& args) {
+int CmdRoute(const Args& args, const sigset_t& unblocked) {
   if (args.Has("fault-schedule")) {
     common::Status installed =
         common::faultenv::InstallSchedule(args.Get("fault-schedule"));
@@ -372,19 +385,7 @@ int CmdRoute(const Args& args) {
   std::printf("LISTENING %d\n", (*router)->port());
   std::fflush(stdout);
 
-  struct sigaction action {};
-  action.sa_handler = HandleSignal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-  sigset_t block, old;
-  sigemptyset(&block);
-  sigaddset(&block, SIGINT);
-  sigaddset(&block, SIGTERM);
-  sigprocmask(SIG_BLOCK, &block, &old);
-  while (g_stop == 0) {
-    sigsuspend(&old);
-  }
-  sigprocmask(SIG_SETMASK, &old, nullptr);
+  WaitForStopSignal(unblocked);
 
   std::fprintf(stderr, "router shutting down\n");
   for (const auto& stats : (*router)->shard_stats()) {
@@ -407,7 +408,8 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
   Args args(argc, argv, 2);
-  if (command == "serve") return CmdServe(args);
-  if (command == "route") return CmdRoute(args);
+  const sigset_t unblocked = BlockStopSignals();
+  if (command == "serve") return CmdServe(args, unblocked);
+  if (command == "route") return CmdRoute(args, unblocked);
   return Usage();
 }
