@@ -23,7 +23,7 @@ namespace {
 
 using namespace dbsherlock;
 
-/// One fleet scaling point: S in-process shards (epoll servers over real
+/// One fleet scaling point: S in-process shards (servers over real
 /// Services), a consistent-hash router in front, and a many-tenant
 /// APPENDSEQ replay through the router. Per-row drain work
 /// (`delay_us` per appended row, one ingest worker per shard) makes the
@@ -68,10 +68,8 @@ common::Result<fleet::FleetReplayResult> RunFleetPoint(
 
     service::Server::Options server_options;
     server_options.port = 0;
-    server_options.io_mode = service::IoMode::kEpoll;
-    server_options.handler_threads = 2;
     server_options.max_connections = config.client_threads + 16;
-    server_options.service = services.back().get();
+    server_options.handler = service::ServiceHandler(*services.back());
     auto server = service::Server::Start(server_options);
     if (!server.ok()) return server.status();
     servers.push_back(std::move(*server));
@@ -82,7 +80,6 @@ common::Result<fleet::FleetReplayResult> RunFleetPoint(
   fleet::Router::Options router_options;
   router_options.port = 0;
   router_options.shards = addresses;
-  router_options.handler_threads = config.client_threads;
   router_options.max_connections = config.client_threads + 16;
   auto router = fleet::Router::Start(std::move(router_options));
   if (!router.ok()) return router.status();
@@ -175,7 +172,7 @@ int Main(int argc, char** argv) {
   int64_t fleet_single = flags.Int(
       "shards", 0,
       "run ONLY the sharded-fleet replay with this many shards (router + "
-      "epoll shards in-process); 0 = normal single-daemon replay");
+      "shards in-process); 0 = normal single-daemon replay");
   std::string fleet_shards = flags.String(
       "fleet_shards", "",
       "after the normal replay, run the fleet scaling sweep at these "

@@ -89,18 +89,10 @@ int Main(int argc, char** argv) {
   }
 
   // --- Append throughput (automatic seals included) -------------------
-  std::vector<tsdata::Cell> cells(data.num_attributes());
+  std::vector<tsdata::Cell> cells;
   auto t0 = std::chrono::steady_clock::now();
   for (size_t r = 0; r < data.num_rows(); ++r) {
-    for (size_t a = 0; a < cells.size(); ++a) {
-      const tsdata::Column& column = data.column(a);
-      if (data.schema().attribute(a).kind ==
-          tsdata::AttributeKind::kNumeric) {
-        cells[a] = column.numeric(r);
-      } else {
-        cells[a] = column.CategoryName(column.code(r));
-      }
-    }
+    data.RowCells(r, &cells);
     common::Status status =
         (*store)->Append(data.timestamp(r), cells);
     if (!status.ok()) {
@@ -205,15 +197,7 @@ int Main(int argc, char** argv) {
       size_t target = static_cast<size_t>(
           fraction * static_cast<double>(data.num_rows()));
       for (; appended < target; ++appended) {
-        for (size_t a = 0; a < cells.size(); ++a) {
-          const tsdata::Column& column = data.column(a);
-          if (data.schema().attribute(a).kind ==
-              tsdata::AttributeKind::kNumeric) {
-            cells[a] = column.numeric(appended);
-          } else {
-            cells[a] = column.CategoryName(column.code(appended));
-          }
-        }
+        data.RowCells(appended, &cells);
         common::Status status =
             (*curve_store)->Append(data.timestamp(appended), cells);
         if (!status.ok()) {

@@ -43,16 +43,9 @@ int main() {
               live.regions.abnormal.ranges()[0].end);
 
   size_t alerts = 0;
+  std::vector<tsdata::Cell> cells;
   for (size_t row = 0; row < live.data.num_rows(); ++row) {
-    std::vector<tsdata::Cell> cells;
-    for (size_t c = 0; c < live.data.num_attributes(); ++c) {
-      const tsdata::Column& col = live.data.column(c);
-      if (col.kind() == tsdata::AttributeKind::kNumeric) {
-        cells.emplace_back(col.numeric(row));
-      } else {
-        cells.emplace_back(col.CategoryName(col.code(row)));
-      }
-    }
+    live.data.RowCells(row, &cells);
     auto alert = monitor.Append(live.data.timestamp(row), cells);
     if (!alert.has_value()) continue;
     ++alerts;

@@ -89,7 +89,7 @@ common::Status StreamingMonitor::Hydrate(const tsdata::Dataset& tail) {
   double newest = window_.num_rows() > 0
                       ? window_.timestamp(window_.num_rows() - 1)
                       : -std::numeric_limits<double>::infinity();
-  std::vector<tsdata::Cell> cells(tail.num_attributes());
+  std::vector<tsdata::Cell> cells;
   for (size_t row = 0; row < tail.num_rows(); ++row) {
     double ts = tail.timestamp(row);
     if (!std::isfinite(ts) || !(ts > newest)) {
@@ -97,14 +97,7 @@ common::Status StreamingMonitor::Hydrate(const tsdata::Dataset& tail) {
           "hydration row %zu timestamp %g is not after %g", row, ts,
           newest));
     }
-    for (size_t i = 0; i < tail.num_attributes(); ++i) {
-      const tsdata::Column& column = tail.column(i);
-      if (column.kind() == tsdata::AttributeKind::kNumeric) {
-        cells[i] = column.numeric(row);
-      } else {
-        cells[i] = column.CategoryName(column.code(row));
-      }
-    }
+    tail.RowCells(row, &cells);
     DBSHERLOCK_RETURN_NOT_OK(window_.AppendRow(ts, cells));
     newest = ts;
     ++rows_seen_;

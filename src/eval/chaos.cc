@@ -37,21 +37,6 @@ Status EnsureDir(const std::string& path) {
   return Status::IoError("mkdir " + path + ": " + std::strerror(errno));
 }
 
-/// Materializes row `i` of `dataset` in AppendRow cell form.
-std::vector<tsdata::Cell> RowCells(const tsdata::Dataset& dataset, size_t i) {
-  std::vector<tsdata::Cell> cells;
-  cells.reserve(dataset.schema().num_attributes());
-  for (size_t a = 0; a < dataset.schema().num_attributes(); ++a) {
-    const tsdata::Column& column = dataset.column(a);
-    if (column.kind() == tsdata::AttributeKind::kNumeric) {
-      cells.emplace_back(column.numeric(i));
-    } else {
-      cells.emplace_back(column.CategoryName(column.code(i)));
-    }
-  }
-  return cells;
-}
-
 /// Timestamp identity that survives a CSV round-trip (micro-second grid).
 int64_t TsKey(double ts) { return std::llround(ts * 1e6); }
 
@@ -398,7 +383,8 @@ Result<ChaosResult> RunChaosEpisode(const ChaosOptions& options) {
         pending_recovery = true;
       }
       double ts = data.timestamp(state.cursor);
-      std::vector<tsdata::Cell> cells = RowCells(data, state.cursor);
+      std::vector<tsdata::Cell> cells;
+      data.RowCells(state.cursor, &cells);
       DBSHERLOCK_RETURN_NOT_OK(state.client->AppendSeqRetrying(
           state.plan->name, state.next_seq++, ts, cells, policy,
           &state.out.retries, &state.out.reconnects));

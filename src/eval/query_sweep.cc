@@ -47,20 +47,6 @@ void Summarize(std::vector<double> samples, double* mean, double* p99) {
   *p99 = samples[rank - 1];
 }
 
-std::vector<tsdata::Cell> RowCells(const tsdata::Dataset& data, size_t row) {
-  std::vector<tsdata::Cell> cells;
-  cells.reserve(data.schema().num_attributes());
-  for (size_t a = 0; a < data.schema().num_attributes(); ++a) {
-    const tsdata::Column& column = data.column(a);
-    if (column.kind() == tsdata::AttributeKind::kNumeric) {
-      cells.emplace_back(column.numeric(row));
-    } else {
-      cells.emplace_back(column.CategoryName(column.code(row)));
-    }
-  }
-  return cells;
-}
-
 }  // namespace
 
 common::JsonValue QuerySweepResult::ToJson() const {
@@ -134,9 +120,10 @@ Result<QuerySweepResult> RunQuerySweep(const QuerySweepOptions& options) {
   auto open = store::TenantStore::Open(std::move(store_options));
   if (!open.ok()) return open.status();
   std::unique_ptr<store::TenantStore> store = std::move(*open);
+  std::vector<tsdata::Cell> cells;
   for (size_t row = 0; row < data.num_rows(); ++row) {
-    common::Status appended =
-        store->Append(data.timestamp(row), RowCells(data, row));
+    data.RowCells(row, &cells);
+    common::Status appended = store->Append(data.timestamp(row), cells);
     if (!appended.ok()) return appended;
   }
   common::Status sealed = store->Seal();
@@ -235,8 +222,9 @@ Result<QuerySweepResult> RunQuerySweep(const QuerySweepOptions& options) {
   // The tail keeps the injected anomaly (it sits at the end of the run).
   size_t first = data.num_rows() - e2e_rows;
   for (size_t row = first; row < data.num_rows(); ++row) {
-    common::Status appended = (*client)->AppendRetrying(
-        "bench", data.timestamp(row), RowCells(data, row));
+    data.RowCells(row, &cells);
+    common::Status appended =
+        (*client)->AppendRetrying("bench", data.timestamp(row), cells);
     if (!appended.ok()) return appended;
   }
   common::Status flushed = (*client)->Flush("bench");

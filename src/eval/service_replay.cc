@@ -19,21 +19,6 @@ namespace {
 using common::Result;
 using common::Status;
 
-/// Materializes row `i` of `dataset` in AppendRow cell form.
-std::vector<tsdata::Cell> RowCells(const tsdata::Dataset& dataset, size_t i) {
-  std::vector<tsdata::Cell> cells;
-  cells.reserve(dataset.schema().num_attributes());
-  for (size_t a = 0; a < dataset.schema().num_attributes(); ++a) {
-    const tsdata::Column& column = dataset.column(a);
-    if (column.kind() == tsdata::AttributeKind::kNumeric) {
-      cells.emplace_back(column.numeric(i));
-    } else {
-      cells.emplace_back(column.CategoryName(column.code(i)));
-    }
-  }
-  return cells;
-}
-
 bool Overlaps(const tsdata::RegionSpec& truth, double start, double end) {
   for (const tsdata::TimeRange& range : truth.ranges()) {
     if (start < range.end && range.start < end) return true;
@@ -147,7 +132,7 @@ Result<ServiceReplayResult> RunServiceReplay(
   service_options.store = store;
   service::Service service(service_options);
   service::Server::Options server_options;
-  server_options.service = &service;
+  server_options.handler = service::ServiceHandler(service);
   server_options.max_connections = options.num_tenants + 4;
   auto server = service::Server::Start(server_options);
   if (!server.ok()) return server.status();
@@ -189,8 +174,9 @@ Result<ServiceReplayResult> RunServiceReplay(
         if (!run.status.ok()) return;
         const tsdata::Dataset& data = plan.data.data;
         run.append_us.reserve(data.num_rows());
+        std::vector<tsdata::Cell> cells;
         for (size_t row = 0; row < data.num_rows(); ++row) {
-          std::vector<tsdata::Cell> cells = RowCells(data, row);
+          data.RowCells(row, &cells);
           int attempts = 0;
           for (;;) {
             double t0 = common::Tracer::NowMicros();

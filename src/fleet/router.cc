@@ -63,38 +63,26 @@ Result<std::unique_ptr<Router>> Router::Start(Options options) {
     router->shards_.push_back(std::move(shard));
   }
 
-  EventLoop::Options loop_options;
-  loop_options.host = router->options_.host;
-  loop_options.port = router->options_.port;
-  loop_options.max_connections = router->options_.max_connections;
-  loop_options.max_line_bytes = router->options_.max_line_bytes;
-  loop_options.idle_timeout_ms = router->options_.idle_timeout_ms;
-  loop_options.handler_threads = router->options_.handler_threads;
-  loop_options.shed_response =
-      service::RetryAfterLine(router->options_.accept_retry_after_ms);
-  loop_options.oversized_response =
-      service::ErrLine(Status::ParseError("request line too long"));
-  loop_options.handler = [raw = router.get()](const std::string& line,
-                                              bool* quit) {
+  service::Server::Options server_options;
+  server_options.host = router->options_.host;
+  server_options.port = router->options_.port;
+  server_options.max_connections = router->options_.max_connections;
+  server_options.max_line_bytes = router->options_.max_line_bytes;
+  server_options.idle_timeout_ms = router->options_.idle_timeout_ms;
+  server_options.handler = [raw = router.get()](const std::string& line,
+                                                bool* quit) {
     return raw->HandleLine(line, quit);
   };
-  // Everything except PING/QUIT blocks on an upstream shard call.
-  loop_options.offload = [](const std::string& line) {
-    size_t end = line.find_first_of(" \t\r");
-    std::string_view verb(line.data(),
-                          end == std::string::npos ? line.size() : end);
-    return !(verb == "PING" || verb == "QUIT");
-  };
-  auto loop = EventLoop::Start(std::move(loop_options));
-  if (!loop.ok()) return loop.status();
-  router->loop_ = std::move(*loop);
+  auto server = service::Server::Start(std::move(server_options));
+  if (!server.ok()) return server.status();
+  router->server_ = std::move(*server);
   return router;
 }
 
 Router::~Router() { Stop(); }
 
 void Router::Stop() {
-  if (loop_ != nullptr) loop_->Stop();
+  if (server_ != nullptr) server_->Stop();
 }
 
 std::vector<Router::ShardStats> Router::shard_stats() const {

@@ -12,9 +12,9 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "fleet/event_loop.h"
 #include "fleet/hash_ring.h"
 #include "service/client.h"
+#include "service/server.h"
 
 namespace dbsherlock::fleet {
 
@@ -56,9 +56,6 @@ class Router {
     size_t max_connections = 256;
     size_t max_line_bytes = 1 << 20;
     int idle_timeout_ms = 0;
-    int accept_retry_after_ms = 50;
-    /// Handler-pool width; every request blocks on an upstream call.
-    size_t handler_threads = 8;
     /// Upstream per-request deadline / connect timeout.
     int upstream_deadline_ms = 5000;
     int upstream_connect_timeout_ms = 1000;
@@ -89,8 +86,7 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  int port() const { return loop_->port(); }
-  const std::string& host() const { return options_.host; }
+  int port() const { return server_->port(); }
 
   void Stop();
 
@@ -143,13 +139,16 @@ class Router {
   Options options_;
   HashRing ring_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<EventLoop> loop_;
 
   mutable std::mutex assign_mu_;
   std::unordered_map<std::string, size_t> tenant_shard_;
 
   std::mutex rng_mu_;
   common::Pcg32 rng_;
+
+  /// Last, so it is destroyed first: its connection threads use every
+  /// member above.
+  std::unique_ptr<service::Server> server_;
 };
 
 }  // namespace dbsherlock::fleet

@@ -13,6 +13,8 @@
 #include "common/faultenv.h"
 #include "common/metrics.h"
 #include "common/strings.h"
+#include "service/service.h"
+#include "service/wire.h"
 
 namespace dbsherlock::service {
 
@@ -20,6 +22,9 @@ namespace {
 
 using common::Result;
 using common::Status;
+
+/// Delay advertised on the accept-shed RETRY_AFTER line.
+constexpr int kAcceptRetryAfterMs = 50;
 
 Status SendAll(int fd, const std::string& data) {
   size_t done = 0;
@@ -40,15 +45,10 @@ Status SendAll(int fd, const std::string& data) {
 Server::Server(Options options) : options_(std::move(options)) {}
 
 Result<std::unique_ptr<Server>> Server::Start(Options options) {
-  if (options.service == nullptr) {
-    return Status::InvalidArgument("Server needs a Service");
+  if (!options.handler) {
+    return Status::InvalidArgument("Server needs a line handler");
   }
   auto server = std::unique_ptr<Server>(new Server(std::move(options)));
-
-  if (server->options_.io_mode == IoMode::kEpoll) {
-    DBSHERLOCK_RETURN_NOT_OK(server->StartEpoll());
-    return server;
-  }
 
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -99,56 +99,6 @@ Result<std::unique_ptr<Server>> Server::Start(Options options) {
 
 Server::~Server() { Stop(); }
 
-Status Server::StartEpoll() {
-  fleet::EventLoop::Options loop_options;
-  loop_options.host = options_.host;
-  loop_options.port = options_.port;
-  loop_options.max_connections = options_.max_connections;
-  loop_options.max_line_bytes = options_.max_line_bytes;
-  loop_options.idle_timeout_ms = options_.idle_timeout_ms;
-  loop_options.handler_threads = options_.handler_threads;
-  // The loop is protocol-agnostic; render its canned responses with the
-  // same wire helpers the dispatcher uses so both modes stay
-  // byte-identical on the wire.
-  loop_options.shed_response = RetryAfterLine(options_.accept_retry_after_ms);
-  loop_options.oversized_response =
-      ErrLine(Status::ParseError("request line too long"));
-  loop_options.handler = [this](const std::string& line, bool* quit) {
-    return HandleLine(line, quit);
-  };
-  loop_options.offload = [](const std::string& line) {
-    return ShouldOffload(line);
-  };
-  auto loop = fleet::EventLoop::Start(std::move(loop_options));
-  if (!loop.ok()) return loop.status();
-  loop_ = std::move(*loop);
-  port_ = loop_->port();
-  return Status::OK();
-}
-
-bool Server::ShouldOffload(const std::string& line) {
-  // Inline (loop-thread) verbs must never block: PING/QUIT are trivial
-  // and APPEND's bounded queue sheds instead of blocking. Everything
-  // else — FLUSH waits on drains, TEACH fsyncs the WAL, HELLO may open a
-  // history store, reads serialize JSON under locks — goes to the pool.
-  if (line.empty()) return false;  // cheap parse error
-  if (line[0] == '{') {
-    // JSON append is inline; JSON hello (store I/O) is not.
-    return line.find("\"op\":\"append\"") == std::string::npos;
-  }
-  size_t end = line.find_first_of(" \t\r");
-  std::string_view verb(line.data(), end == std::string::npos ? line.size()
-                                                              : end);
-  return !(verb == "APPEND" || verb == "APPENDSEQ" || verb == "PING" ||
-           verb == "QUIT");
-}
-
-size_t Server::live_connections() const {
-  if (loop_ != nullptr) return loop_->live_connections();
-  std::lock_guard lock(conn_mu_);
-  return conn_fds_.size();
-}
-
 void Server::AcceptLoop() {
   for (;;) {
     int listen_fd = listen_fd_.load();
@@ -173,17 +123,14 @@ void Server::AcceptLoop() {
         // Shed with a retry hint instead of an opaque error: the client
         // backs off (BackoffSleepMs honors RETRY_AFTER) and no thread is
         // spent on a connection we cannot serve.
-        (void)SendAll(fd,
-                      RetryAfterLine(options_.accept_retry_after_ms) + "\n");
+        (void)SendAll(fd, RetryAfterLine(kAcceptRetryAfterMs) + "\n");
         ::close(fd);
-        accepts_shed_.fetch_add(1, std::memory_order_relaxed);
         metrics.GetCounter("server.accepts_shed")->Increment();
         continue;
       }
       conn_fds_.insert(fd);
       live = conn_fds_.size();
     }
-    connections_handled_.fetch_add(1, std::memory_order_relaxed);
     metrics.GetCounter("server.connections")->Increment();
     metrics.GetGauge("server.connections_live")
         ->Set(static_cast<double>(live));
@@ -228,7 +175,7 @@ void Server::HandleConnection(int fd) {
         quit = true;
         break;
       }
-      std::string response = HandleLine(line, &quit);
+      std::string response = options_.handler(line, &quit);
       if (!SendAll(fd, response + "\n").ok()) {
         quit = true;
         break;
@@ -258,11 +205,13 @@ void Server::HandleConnection(int fd) {
   ::close(fd);
 }
 
-std::string Server::HandleLine(const std::string& line, bool* quit) {
+namespace {
+
+std::string HandleLine(Service& service, const std::string& line,
+                       bool* quit) {
   auto parsed = ParseRequestLine(line);
   if (!parsed.ok()) return ErrLine(parsed.status());
   Request& request = *parsed;
-  Service& service = *options_.service;
 
   switch (request.op) {
     case RequestOp::kPing:
@@ -373,12 +322,16 @@ std::string Server::HandleLine(const std::string& line, bool* quit) {
   return ErrLine(Status::Internal("unhandled request op"));
 }
 
+}  // namespace
+
+LineHandler ServiceHandler(Service& service) {
+  return [&service](const std::string& line, bool* quit) {
+    return HandleLine(service, line, quit);
+  };
+}
+
 void Server::Stop() {
   if (stopping_.exchange(true)) return;
-  if (loop_ != nullptr) {
-    loop_->Stop();
-    return;
-  }
   // shutdown() pops AcceptLoop out of accept(); the fd is closed only
   // after the accept thread joins, so its number cannot be recycled
   // under a racing accept4().

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -11,32 +12,29 @@
 
 #include "common/parallel.h"
 #include "common/status.h"
-#include "fleet/event_loop.h"
-#include "service/service.h"
-#include "service/wire.h"
 
 namespace dbsherlock::service {
 
-/// How the server multiplexes connections (the --io-mode flag).
-enum class IoMode {
-  /// One blocking reader thread per connection (the original frontend).
-  kThreads,
-  /// One edge-triggered epoll loop thread for every connection
-  /// (fleet::EventLoop); blocking verbs run on a fixed handler pool.
-  /// Wire behavior is byte-identical to kThreads (the parity test).
-  kEpoll,
-};
+class Service;
 
-/// The TCP frontend of dbsherlockd. Each request line is parsed with
-/// wire.h, dispatched into the Service, and answered with exactly one
-/// response line. The server owns no diagnosis logic — backpressure and
-/// queueing decisions all come from Service::Append.
+/// One request line -> one response line (no trailing newline). Sets
+/// *quit to close the connection once the response is sent. Every
+/// connection calls it from its own thread, so it must be thread-safe.
+using LineHandler =
+    std::function<std::string(const std::string& line, bool* quit)>;
+
+/// The TCP front door of both dbsherlockd modes (DESIGN.md §15): `serve`
+/// runs it with ServiceHandler, `route` with fleet::Router's proxy. The
+/// server knows the line framing and nothing of the verbs: each request
+/// line goes to the handler and its answer goes back on the same
+/// connection, in order.
 ///
-/// Two interchangeable I/O engines sit under the same dispatcher: the
-/// original thread-per-connection accept loop, and the fleet event loop
-/// (DESIGN.md §15) whose fan-in cost is one thread total plus a fixed
-/// handler pool. In both modes, accepts past max_connections are shed
-/// with a RETRY_AFTER line instead of growing threads without bound.
+/// One thread per connection: the accept loop hands each connection to a
+/// common::ThreadPool worker (the pool grows to the live count), which
+/// reads, dispatches and writes until the peer leaves. Accepts past
+/// max_connections are shed with a RETRY_AFTER line instead of growing
+/// threads without bound; the idle timeout and the line cap keep a
+/// slow or hostile peer from holding a worker or its memory forever.
 class Server {
  public:
   struct Options {
@@ -45,20 +43,14 @@ class Server {
     int port = 0;
     /// Connections beyond this are shed (RETRY_AFTER + close) at accept.
     size_t max_connections = 64;
-    /// Delay advertised on the accept-shed RETRY_AFTER line.
-    int accept_retry_after_ms = 50;
     /// Slow-loris guard: a connection that sends nothing for this long is
     /// closed (its worker is a finite resource). 0 = wait forever.
     int idle_timeout_ms = 0;
     /// Per-connection line-buffer cap; a longer request line gets
     /// ERR ParseError and the connection is closed.
     size_t max_line_bytes = 1 << 20;
-    /// Connection multiplexing engine.
-    IoMode io_mode = IoMode::kThreads;
-    /// kEpoll only: workers running blocking verbs off the loop thread.
-    size_t handler_threads = 4;
-    /// The engine; required, not owned.
-    Service* service = nullptr;
+    /// Answers every request line; required.
+    LineHandler handler;
   };
 
   /// Binds, listens, and starts the accept loop.
@@ -71,41 +63,17 @@ class Server {
 
   /// The bound port (resolves Options::port == 0).
   int port() const { return port_; }
-  const std::string& host() const { return options_.host; }
 
   /// Stops accepting, shuts down live connections, and waits for their
-  /// handlers to finish. Does NOT stop the Service (its owner does).
+  /// handlers to finish. Does NOT stop what the handler talks to (its
+  /// owner does).
   void Stop();
-
-  size_t connections_handled() const {
-    if (loop_ != nullptr) return loop_->connections_handled();
-    return connections_handled_.load();
-  }
-
-  /// Connections currently open — accurate in both modes: thread mode
-  /// counts registered fds (a handler deregisters before closing), epoll
-  /// mode counts loop-registered connections.
-  size_t live_connections() const;
-
-  /// Accepts shed with RETRY_AFTER past max_connections.
-  uint64_t accepts_shed() const {
-    if (loop_ != nullptr) return loop_->accepts_shed();
-    return accepts_shed_.load();
-  }
 
  private:
   explicit Server(Options options);
 
-  common::Status StartEpoll();
-
   void AcceptLoop();
   void HandleConnection(int fd);
-  /// One request line -> one response line (no trailing newline).
-  /// Sets *quit on QUIT.
-  std::string HandleLine(const std::string& line, bool* quit);
-  /// True when `line` names a verb that may block (epoll mode offloads it
-  /// to the handler pool instead of running it on the loop thread).
-  static bool ShouldOffload(const std::string& line);
 
   Options options_;
   /// Atomic: AcceptLoop reads it per iteration while Stop() swaps in -1.
@@ -118,16 +86,14 @@ class Server {
   /// blocking reader never starves another connection.
   std::unique_ptr<common::ThreadPool> workers_;
 
-  mutable std::mutex conn_mu_;
+  std::mutex conn_mu_;
   std::condition_variable conn_done_;
   std::set<int> conn_fds_;
-
-  std::atomic<size_t> connections_handled_{0};
-  std::atomic<uint64_t> accepts_shed_{0};
-
-  /// Non-null iff io_mode == kEpoll; owns the listen socket then.
-  std::unique_ptr<fleet::EventLoop> loop_;
 };
+
+/// dbsherlockd serve's dispatcher: parses each request line with wire.h
+/// and answers it from `service`, which must outlive the handler.
+LineHandler ServiceHandler(Service& service);
 
 }  // namespace dbsherlock::service
 

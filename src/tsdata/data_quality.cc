@@ -256,17 +256,9 @@ common::Result<RepairedDataset> RepairDataset(const Dataset& dataset,
   }
 
   // 2. Materialize the selected rows in timestamp order.
+  std::vector<Cell> cells;
   for (size_t row : kept) {
-    std::vector<Cell> cells;
-    cells.reserve(dataset.num_attributes());
-    for (size_t c = 0; c < dataset.num_attributes(); ++c) {
-      const Column& col = dataset.column(c);
-      if (col.kind() == AttributeKind::kNumeric) {
-        cells.emplace_back(col.numeric(row));
-      } else {
-        cells.emplace_back(col.CategoryName(col.code(row)));
-      }
-    }
+    dataset.RowCells(row, &cells);
     DBSHERLOCK_RETURN_NOT_OK(
         out.data.AppendRow(dataset.timestamp(row), cells));
   }

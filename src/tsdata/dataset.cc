@@ -148,6 +148,18 @@ common::Status Dataset::AppendRowUnchecked(double timestamp,
   return common::Status::OK();
 }
 
+void Dataset::RowCells(size_t row, std::vector<Cell>* cells) const {
+  cells->resize(columns_.size());
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    const Column& column = columns_[i];
+    if (column.kind() == AttributeKind::kNumeric) {
+      (*cells)[i] = column.numeric(row);
+    } else {
+      (*cells)[i] = column.CategoryName(column.code(row));
+    }
+  }
+}
+
 bool Dataset::TimestampsSorted() const {
   // NaN defeats std::is_sorted (every comparison is false), so check
   // explicitly: a NaN timestamp means the stream is NOT well ordered.

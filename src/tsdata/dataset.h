@@ -105,6 +105,10 @@ class Dataset {
   common::Status AppendRowUnchecked(double timestamp,
                                     const std::vector<Cell>& cells);
 
+  /// The inverse of AppendRow: fills `cells` with row `row`, one cell per
+  /// attribute. Reuses the vector's storage, so a loop can pass one buffer.
+  void RowCells(size_t row, std::vector<Cell>* cells) const;
+
   /// True when timestamps are non-decreasing (the invariant every consumer
   /// past the repair pipeline may assume).
   bool TimestampsSorted() const;

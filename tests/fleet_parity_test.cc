@@ -1,9 +1,10 @@
-// Epoll/thread server parity (fleet/event_loop.h behind Server's
-// --io-mode): the same wire conversation must produce byte-identical
-// responses in both modes — including pipelined scripts, requests split
-// across many small writes, a half-closed (EOF-drain) peer, a slow-loris
-// client that must not stall anyone else, accept-shed past
-// max_connections, and a short-read/short-write fault schedule.
+// Conversation tests for the one connection engine (service/server.h),
+// which carries both `dbsherlockd serve` and `dbsherlockd route`: a fixed
+// wire script must come back as a pinned transcript, byte for byte, however
+// the bytes arrive — pipelined, split across many small writes, or through
+// short reads and writes — and through the router too. Also a half-closed
+// (EOF-drain) peer, a slow-loris client that must not stall anyone else,
+// and accept-shed past max_connections.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,8 @@
 #include <vector>
 
 #include "common/faultenv.h"
+#include "common/strings.h"
+#include "fleet/router.h"
 #include "service/model_store.h"
 #include "service/server.h"
 #include "service/service.h"
@@ -105,15 +108,13 @@ class RawConn {
   int fd_ = -1;
 };
 
-/// One self-contained daemon stack (volatile store + service + server)
-/// in the requested I/O mode. Identical knobs except io_mode, so any
-/// response difference is the event loop's fault.
+/// One self-contained daemon stack (volatile store + service + server).
 struct Stack {
   std::unique_ptr<DurableModelStore> store;
   std::unique_ptr<Service> service;
   std::unique_ptr<Server> server;
 
-  static Stack Start(IoMode mode, size_t max_connections = 16) {
+  static Stack Start(size_t max_connections = 16) {
     Stack s;
     auto store = DurableModelStore::Open({});
     EXPECT_TRUE(store.ok()) << store.status().ToString();
@@ -124,9 +125,7 @@ struct Stack {
     service_options.diagnosis_workers = 1;
     s.service = std::make_unique<Service>(service_options);
     Server::Options server_options;
-    server_options.service = s.service.get();
-    server_options.io_mode = mode;
-    server_options.handler_threads = 2;
+    server_options.handler = ServiceHandler(*s.service);
     server_options.max_connections = max_connections;
     auto server = Server::Start(server_options);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
@@ -145,7 +144,7 @@ struct Stack {
 /// A deterministic conversation: HELLO, fresh APPENDSEQs, FLUSH (so the
 /// replays below observe a settled durable state), a resumed HELLO, an
 /// idempotent replay, a parse error, and QUIT. Every response line is a
-/// pure function of the script, so the two modes must match bytewise.
+/// pure function of the script, pinned in kTranscript.
 const char kScript[] =
     "PING\n"
     "HELLO t0 m0:num,m1:num\n"
@@ -159,6 +158,20 @@ const char kScript[] =
     "FLUSH t0\n"
     "QUIT\n";
 const size_t kScriptResponses = 11;
+/// The server's exact answer to kScript, one line per request. The
+/// replay acks with the tenant's running sequence, not the resent one.
+const char kTranscript[] =
+    "OK pong\n"
+    "OK tenant t0 attrs 2\n"
+    "OK 1\n"
+    "OK 2\n"
+    "OK 3\n"
+    "OK flushed\n"
+    "OK tenant t0 attrs 2\n"
+    "OK 3 replayed\n"
+    "ERR InvalidArgument unknown verb: NO_SUCH_VERB\n"
+    "OK flushed\n"
+    "OK bye\n";
 
 /// Sends `segments` (with optional pauses between them) and returns all
 /// response bytes until the server closes or goes quiet.
@@ -177,59 +190,58 @@ std::string Converse(int port,
   return out;
 }
 
-TEST(FleetParityTest, PipelinedScriptIsByteIdenticalAcrossModes) {
-  Stack threads = Stack::Start(IoMode::kThreads);
-  Stack epoll = Stack::Start(IoMode::kEpoll);
-  std::string a = Converse(threads.port(), {{kScript, 0}});
-  std::string b = Converse(epoll.port(), {{kScript, 0}});
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("OK pong"), std::string::npos);
-  EXPECT_NE(a.find("replayed"), std::string::npos);
-  EXPECT_NE(a.find("ERR"), std::string::npos) << "parse error missing";
-  threads.Stop();
-  epoll.Stop();
+TEST(FleetParityTest, PipelinedScriptMatchesPinnedTranscript) {
+  Stack stack = Stack::Start();
+  EXPECT_EQ(Converse(stack.port(), {{kScript, 0}}), kTranscript);
+  stack.Stop();
 }
 
 TEST(FleetParityTest, PartialLineWritesReassembleIdentically) {
   // The same script dribbled in awkward fragments — splits mid-verb,
   // mid-number, and between the '\r'-less line end and the next verb.
-  Stack threads = Stack::Start(IoMode::kThreads);
-  Stack epoll = Stack::Start(IoMode::kEpoll);
+  Stack stack = Stack::Start();
   std::string script(kScript);
   std::vector<std::pair<std::string, int>> segments;
   const size_t kFragment = 7;
   for (size_t at = 0; at < script.size(); at += kFragment) {
     segments.emplace_back(script.substr(at, kFragment), 2);
   }
-  std::string whole = Converse(threads.port(), {{script, 0}});
-  std::string dribbled = Converse(epoll.port(), segments);
-  EXPECT_EQ(whole, dribbled);
-  threads.Stop();
-  epoll.Stop();
+  EXPECT_EQ(Converse(stack.port(), segments), kTranscript);
+  stack.Stop();
+}
+
+TEST(FleetParityTest, RouterRelaysThePinnedTranscript) {
+  // `route` runs the same engine with its proxy as the handler: PING,
+  // QUIT and the parse error are answered by the router, everything else
+  // by the shard, and the client cannot tell the difference.
+  Stack shard = Stack::Start();
+  fleet::Router::Options router_options;
+  router_options.shards = {common::StrFormat("127.0.0.1:%d", shard.port())};
+  auto router = fleet::Router::Start(router_options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  EXPECT_EQ(Converse((*router)->port(), {{kScript, 0}}), kTranscript);
+  (*router)->Stop();
+  shard.Stop();
 }
 
 TEST(FleetParityTest, HalfClosedPeerStillGetsPipelinedAnswers) {
-  // shutdown(SHUT_WR) right after the script: both modes must drain the
+  // shutdown(SHUT_WR) right after the script: the server must drain the
   // buffered requests and answer them all before closing (EOF is not an
   // abort).
-  for (IoMode mode : {IoMode::kThreads, IoMode::kEpoll}) {
-    Stack stack = Stack::Start(mode);
-    RawConn conn;
-    ASSERT_TRUE(conn.Connect(stack.port()));
-    ASSERT_TRUE(conn.SendAll("PING\nPING\nPING\n"));
-    conn.ShutdownWrite();
-    EXPECT_EQ(conn.ReadToEof(), "OK pong\nOK pong\nOK pong\n")
-        << "mode " << static_cast<int>(mode);
-    stack.Stop();
-  }
+  Stack stack = Stack::Start();
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(stack.port()));
+  ASSERT_TRUE(conn.SendAll("PING\nPING\nPING\n"));
+  conn.ShutdownWrite();
+  EXPECT_EQ(conn.ReadToEof(), "OK pong\nOK pong\nOK pong\n");
+  stack.Stop();
 }
 
 TEST(FleetParityTest, SlowLorisDoesNotStallOtherClients) {
   // A client dribbling one byte at a time holds a connection open for
-  // seconds. In epoll mode that must cost an fd, not a thread: a normal
+  // seconds. That costs it one worker thread, not the server: a normal
   // client running alongside finishes its requests at full speed.
-  Stack stack = Stack::Start(IoMode::kEpoll);
+  Stack stack = Stack::Start();
   std::atomic<bool> loris_ok{false};
   std::thread loris([&] {
     RawConn conn;
@@ -260,56 +272,49 @@ TEST(FleetParityTest, SlowLorisDoesNotStallOtherClients) {
   stack.Stop();
 }
 
-TEST(FleetParityTest, AcceptShedBeyondMaxConnectionsInBothModes) {
-  for (IoMode mode : {IoMode::kThreads, IoMode::kEpoll}) {
-    Stack stack = Stack::Start(mode, /*max_connections=*/2);
-    RawConn a, b;
-    ASSERT_TRUE(a.Connect(stack.port()));
-    ASSERT_TRUE(a.SendAll("PING\n"));
-    ASSERT_EQ(a.ReadLines(1), "OK pong\n");
-    ASSERT_TRUE(b.Connect(stack.port()));
-    ASSERT_TRUE(b.SendAll("PING\n"));
-    ASSERT_EQ(b.ReadLines(1), "OK pong\n");
+TEST(FleetParityTest, AcceptShedBeyondMaxConnections) {
+  Stack stack = Stack::Start(/*max_connections=*/2);
+  RawConn a, b;
+  ASSERT_TRUE(a.Connect(stack.port()));
+  ASSERT_TRUE(a.SendAll("PING\n"));
+  ASSERT_EQ(a.ReadLines(1), "OK pong\n");
+  ASSERT_TRUE(b.Connect(stack.port()));
+  ASSERT_TRUE(b.SendAll("PING\n"));
+  ASSERT_EQ(b.ReadLines(1), "OK pong\n");
 
-    // Third connection: shed with a RETRY_AFTER hint and closed, no
-    // thread spawned, no silent hang.
-    RawConn c;
-    ASSERT_TRUE(c.Connect(stack.port()));
-    std::string shed = c.ReadToEof();
-    EXPECT_NE(shed.find("RETRY_AFTER"), std::string::npos)
-        << "mode " << static_cast<int>(mode) << " got: " << shed;
+  // Third connection: shed with a RETRY_AFTER hint and closed, no thread
+  // spawned, no silent hang.
+  RawConn c;
+  ASSERT_TRUE(c.Connect(stack.port()));
+  std::string shed = c.ReadToEof();
+  EXPECT_NE(shed.find("RETRY_AFTER"), std::string::npos) << "got: " << shed;
 
-    // Closing a live connection frees its slot — the gauge must track
-    // closes, or this accept is shed too and the fleet never recovers.
-    a.Close();
-    for (int attempt = 0;; ++attempt) {
-      RawConn d;
-      ASSERT_TRUE(d.Connect(stack.port()));
-      ASSERT_TRUE(d.SendAll("PING\n"));
-      std::string got = d.ReadLines(1);
-      if (got == "OK pong\n") break;
-      ASSERT_LT(attempt, 50) << "slot never freed after close: " << got;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    stack.Stop();
+  // Closing a live connection frees its slot — the count must track
+  // closes, or this accept is shed too and the fleet never recovers.
+  a.Close();
+  for (int attempt = 0;; ++attempt) {
+    RawConn d;
+    ASSERT_TRUE(d.Connect(stack.port()));
+    ASSERT_TRUE(d.SendAll("PING\n"));
+    std::string got = d.ReadLines(1);
+    if (got == "OK pong\n") break;
+    ASSERT_LT(attempt, 50) << "slot never freed after close: " << got;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
+  stack.Stop();
 }
 
-TEST(FleetParityTest, ShortReadWriteFaultScheduleKeepsParity) {
-  // Short reads and short writes exercise both modes' partial-I/O loops;
-  // the conversation must still come out byte-identical.
+TEST(FleetParityTest, ShortReadWriteFaultScheduleKeepsTranscript) {
+  // Short reads and short writes exercise the server's partial-I/O loops;
+  // the conversation must still come out byte for byte.
   ASSERT_TRUE(common::faultenv::InstallSchedule(
                   "seed=11;srv.recv=short@0.4;srv.send=short@0.4")
                   .ok());
-  Stack threads = Stack::Start(IoMode::kThreads);
-  Stack epoll = Stack::Start(IoMode::kEpoll);
-  std::string a = Converse(threads.port(), {{kScript, 0}});
-  std::string b = Converse(epoll.port(), {{kScript, 0}});
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  threads.Stop();
-  epoll.Stop();
+  Stack stack = Stack::Start();
+  std::string got = Converse(stack.port(), {{kScript, 0}});
+  stack.Stop();
   ASSERT_TRUE(common::faultenv::InstallSchedule("").ok());
+  EXPECT_EQ(got, kTranscript);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "common/strings.h"
 #include "eval/chaos.h"
 #include "fleet/fleet_replay.h"
+#include "fleet/hash_ring.h"
 #include "service/client.h"
 #include "tsdata/schema.h"
 
@@ -35,8 +36,7 @@ DaemonProcess::Options ShardOptions(std::vector<std::string> extra = {}) {
   DaemonProcess::Options options;
   options.binary = DBSHERLOCK_DAEMON_PATH;
   options.command = "serve";
-  options.args = {"--port", "0",  "--io-mode",     "epoll",
-                  "--handler-threads", "2", "--max-tenants", "64",
+  options.args = {"--port", "0", "--max-tenants", "64",
                   "--max-connections", "64",
                   // Slow the drain so the kill below lands while every
                   // tenant is provably mid-stream (a fast machine would
@@ -53,7 +53,7 @@ DaemonProcess::Options RouterOptions(const std::string& shards,
   options.binary = DBSHERLOCK_DAEMON_PATH;
   options.command = "route";
   options.args = {"--port", "0", "--shards", shards,
-                  "--handler-threads", "24", "--max-connections", "64",
+                  "--max-connections", "64",
                   // Fail over quickly: the drill wants the ERR surfaced to
                   // the writer, not three 5s connect timeouts per request.
                   "--upstream-deadline-ms", "2000", "--upstream-attempts",
@@ -85,6 +85,18 @@ void RunKillDrill(const std::vector<std::string>& shard_extra_args) {
   replay_options.rows_per_tenant = 300;
   replay_options.deadline_ms = 4000;
 
+  // Shard names carry ephemeral ports, so the ring can leave one shard
+  // only a few tenants, which it drains before the kill lands. Kill the
+  // shard that owns at least half of them: they are still mid-stream.
+  HashRing ring({Addr(shard_a), Addr(shard_b)}, /*vnodes_per_shard=*/64);
+  size_t on_a = 0;
+  for (size_t t = 0; t < replay_options.tenants; ++t) {
+    on_a += ring.ShardFor(common::StrFormat("t%zu", t)) == 0 ? 1 : 0;
+  }
+  bool kill_a = 2 * on_a >= replay_options.tenants;
+  DaemonProcess& doomed = kill_a ? shard_a : shard_b;
+  DaemonProcess& survivor = kill_a ? shard_b : shard_a;
+
   common::Result<FleetReplayResult> result =
       common::Status::Internal("replay never ran");
   std::thread replay(
@@ -92,7 +104,7 @@ void RunKillDrill(const std::vector<std::string>& shard_extra_args) {
   // ~500ms in, each tenant has landed a few dozen of its 300 rows (the
   // whole run takes seconds on one core).
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  shard_b.Kill9();
+  doomed.Kill9();
   replay.join();
 
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -108,7 +120,7 @@ void RunKillDrill(const std::vector<std::string>& shard_extra_args) {
   // distinct rows for every tenant (seq replay-detection dedupes resends,
   // so an over-count here would mean double-ingest, an under-count a lost
   // acked row).
-  auto client = service::Client::Connect("127.0.0.1", shard_a.port());
+  auto client = service::Client::Connect("127.0.0.1", survivor.port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   for (size_t t = 0; t < replay_options.tenants; ++t) {
     std::string tenant = common::StrFormat("t%zu", t);
@@ -210,10 +222,30 @@ TEST(FleetRouterE2eTest, ExplainQueryRoutesToOwningShard) {
   ASSERT_TRUE(
       router.Start(RouterOptions(Addr(shard_a) + "," + Addr(shard_b))).ok());
 
+  // Shard names carry ephemeral ports, so fixed tenant names can all land
+  // on one shard. Place the candidates on the router's own ring (same
+  // addresses, its default 64 vnodes) and take the first three each shard
+  // owns.
+  HashRing ring({Addr(shard_a), Addr(shard_b)}, /*vnodes_per_shard=*/64);
+  const std::vector<std::string> candidates = {
+      "alpha",  "bravo",   "charlie", "delta",  "echo",    "foxtrot",
+      "golf",   "hotel",   "india",   "juliet", "kilo",    "lima",
+      "mike",   "november", "oscar",  "papa",   "quebec",  "romeo",
+      "sierra", "tango",   "uniform", "victor", "whiskey", "xray",
+      "yankee", "zulu"};
+  std::vector<std::string> tenants;
+  size_t picked[2] = {0, 0};
+  for (const std::string& name : candidates) {
+    size_t owner = ring.ShardFor(name);
+    if (picked[owner] < 3) {
+      ++picked[owner];
+      tenants.push_back(name);
+    }
+  }
+  ASSERT_EQ(tenants.size(), 6u) << "a shard owns fewer than 3 candidates";
+
   tsdata::Schema schema({{"latency", tsdata::AttributeKind::kNumeric},
                          {"cpu", tsdata::AttributeKind::kNumeric}});
-  const std::vector<std::string> tenants = {"alpha", "bravo", "charlie",
-                                            "delta", "echo",  "foxtrot"};
   auto via_router = service::Client::Connect("127.0.0.1", router.port());
   ASSERT_TRUE(via_router.ok()) << via_router.status().ToString();
   for (const std::string& tenant : tenants) {
@@ -271,10 +303,9 @@ TEST(FleetRouterE2eTest, ExplainQueryRoutesToOwningShard) {
     owned_a += on_a ? 1 : 0;
     owned_b += on_b ? 1 : 0;
   }
-  // The ring spreads six tenants across both shards (deterministic for
-  // these fixed names); a one-sided split would make this test vacuous.
-  EXPECT_GT(owned_a, 0u);
-  EXPECT_GT(owned_b, 0u);
+  // The router placed every tenant where the ring above said it would.
+  EXPECT_EQ(owned_a, 3u);
+  EXPECT_EQ(owned_b, 3u);
   (void)(*direct_a)->Quit();
   (void)(*direct_b)->Quit();
   (void)(*via_router)->Quit();

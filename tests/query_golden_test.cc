@@ -84,17 +84,9 @@ std::unique_ptr<store::TenantStore> StoreFrom(
   auto open = store::TenantStore::Open(std::move(options));
   EXPECT_TRUE(open.ok()) << open.status().ToString();
   auto store = std::move(*open);
+  std::vector<tsdata::Cell> cells;
   for (size_t row = 0; row < data.num_rows(); ++row) {
-    std::vector<tsdata::Cell> cells;
-    cells.reserve(data.schema().num_attributes());
-    for (size_t a = 0; a < data.schema().num_attributes(); ++a) {
-      const tsdata::Column& column = data.column(a);
-      if (column.kind() == tsdata::AttributeKind::kNumeric) {
-        cells.emplace_back(column.numeric(row));
-      } else {
-        cells.emplace_back(column.CategoryName(column.code(row)));
-      }
-    }
+    data.RowCells(row, &cells);
     EXPECT_TRUE(store->Append(data.timestamp(row), cells).ok());
   }
   EXPECT_TRUE(store->Seal().ok());

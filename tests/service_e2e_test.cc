@@ -66,7 +66,7 @@ TEST(ServiceE2eTest, BackpressureOverTheSocketLosesNoAckedRow) {
   service_options.process_delay_us = 3000;  // forced slow consumer
   Service service(service_options);
   Server::Options server_options;
-  server_options.service = &service;
+  server_options.handler = ServiceHandler(service);
   auto server = Server::Start(server_options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -118,7 +118,7 @@ TEST(ServiceE2eTest, DiagnoseRangeRanksCauseTopOneAfterWindowMovedOn) {
   service_options.tenants.store.fsync_on_seal = false;  // test speed
   Service service(service_options);
   Server::Options server_options;
-  server_options.service = &service;
+  server_options.handler = ServiceHandler(service);
   auto server = Server::Start(server_options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   auto client = Client::Connect("127.0.0.1", (*server)->port());
@@ -233,7 +233,7 @@ TEST(ServiceE2eTest, RestartRecoversModelsTaughtOverTheWire) {
     service_options.store = store.get();
     Service service(service_options);
     Server::Options server_options;
-    server_options.service = &service;
+    server_options.handler = ServiceHandler(service);
     auto server = Server::Start(server_options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     auto client = Client::Connect("127.0.0.1", (*server)->port());

@@ -600,17 +600,9 @@ int CmdClient(const Args& args) {
         if (!status.ok()) Die(status);
         said_hello = true;
       }
+      std::vector<tsdata::Cell> cells;
       for (size_t row = 0; row < batch->num_rows(); ++row) {
-        std::vector<tsdata::Cell> cells;
-        cells.reserve(batch->schema().num_attributes());
-        for (size_t a = 0; a < batch->schema().num_attributes(); ++a) {
-          const tsdata::Column& column = batch->column(a);
-          if (column.kind() == tsdata::AttributeKind::kNumeric) {
-            cells.emplace_back(column.numeric(row));
-          } else {
-            cells.emplace_back(column.CategoryName(column.code(row)));
-          }
-        }
+        batch->RowCells(row, &cells);
         common::Status status =
             (*client)->AppendRetrying(tenant, batch->timestamp(row), cells,
                                       /*max_retries=*/10000, &retries);

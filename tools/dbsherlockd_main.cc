@@ -158,10 +158,6 @@ int Usage() {
       "                        shed with RETRY_AFTER (default 64)\n"
       "  --idle-timeout-ms N   close connections idle this long (0 = off)\n"
       "  --max-line-bytes N    request line cap (default 1 MiB)\n"
-      "  --io-mode M           connection handling: 'threads' (one thread\n"
-      "                        per connection) or 'epoll' (edge-triggered\n"
-      "                        event loop + handler pool; default threads)\n"
-      "  --handler-threads N   epoll-mode handler pool width (default 4)\n"
       "  --peers host:port,... peer shards to pull causal models from via\n"
       "                        MODELSYNC (fleet replication)\n"
       "  --modelsync-interval-ms N\n"
@@ -181,7 +177,6 @@ int Usage() {
       "  --host/--port         listen address (default 127.0.0.1:7380)\n"
       "  --vnodes N            virtual nodes per shard on the consistent-\n"
       "                        hash ring (default 64)\n"
-      "  --handler-threads N   proxy handler pool width (default 8)\n"
       "  --max-connections N   client cap, shed with RETRY_AFTER (def 256)\n"
       "  --upstream-deadline-ms N  per-request shard deadline (def 5000)\n"
       "  --upstream-attempts N idempotent retry budget (default 3)\n"
@@ -292,16 +287,7 @@ int CmdServe(const Args& args, const sigset_t& unblocked) {
       static_cast<int>(args.GetDouble("idle-timeout-ms", 0));
   server_options.max_line_bytes =
       static_cast<size_t>(args.GetDouble("max-line-bytes", 1 << 20));
-  std::string io_mode = args.Get("io-mode", "threads");
-  if (io_mode == "epoll") {
-    server_options.io_mode = service::IoMode::kEpoll;
-  } else if (io_mode != "threads") {
-    std::fprintf(stderr, "--io-mode: want 'threads' or 'epoll'\n");
-    return 2;
-  }
-  server_options.handler_threads =
-      static_cast<size_t>(args.GetDouble("handler-threads", 4));
-  server_options.service = &service;
+  server_options.handler = service::ServiceHandler(service);
   auto server = service::Server::Start(server_options);
   if (!server.ok()) Die(server.status());
 
@@ -365,8 +351,6 @@ int CmdRoute(const Args& args, const sigset_t& unblocked) {
   }
   options.vnodes_per_shard =
       static_cast<size_t>(args.GetDouble("vnodes", 64));
-  options.handler_threads =
-      static_cast<size_t>(args.GetDouble("handler-threads", 8));
   options.max_connections =
       static_cast<size_t>(args.GetDouble("max-connections", 256));
   options.idle_timeout_ms =

@@ -52,7 +52,7 @@
 #                 p99 append latency, shed rate, and per-tenant diagnosis
 #                 accuracy, then the sharded-fleet scaling sweep (1000
 #                 tenants through the consistent-hash router over 1/2/4
-#                 epoll shards; "fleet" key in the same report; default
+#                 shards; "fleet" key in the same report; default
 #                 BENCH_service.json). Exit status is nonzero unless every
 #                 tenant's cause ranks top-1 and every fleet row lands.
 #
@@ -132,7 +132,7 @@ if [[ "${1:-}" == "--service" ]]; then
   OUT="${2:-BENCH_service.json}"
   ensure_built bench_service
   require_optimized_build
-  # The fleet sweep (router + 1/2/4 epoll shards, 1000 tenants) rides in
+  # The fleet sweep (router + 1/2/4 shards, 1000 tenants) rides in
   # the same report under the "fleet" key.
   "$BUILD_DIR/bench/bench_service" --json_out "$OUT" --fleet_shards 1,2,4
   exit 0
