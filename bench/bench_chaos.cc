@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -23,6 +22,7 @@
 
 #include "bench_util.h"
 #include "common/faultenv.h"
+#include "common/stats.h"
 #include "eval/chaos.h"
 
 #ifndef DBSHERLOCK_DAEMON_PATH
@@ -55,26 +55,14 @@ std::string ScheduleFor(size_t episode, uint64_t seed) {
   return buf;
 }
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  double rank = p * static_cast<double>(values.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 common::JsonValue DistributionJson(const std::vector<double>& values) {
   common::JsonValue::Object out;
   out["count"] = static_cast<double>(values.size());
   if (!values.empty()) {
-    double sum = 0.0;
-    for (double v : values) sum += v;
-    out["mean"] = sum / static_cast<double>(values.size());
-    out["p50"] = Percentile(values, 0.50);
-    out["p95"] = Percentile(values, 0.95);
-    out["max"] = *std::max_element(values.begin(), values.end());
+    out["mean"] = common::Mean(values);
+    out["p50"] = common::Quantile(values, 0.50);
+    out["p95"] = common::Quantile(values, 0.95);
+    out["max"] = common::Max(values);
   }
   return common::JsonValue(std::move(out));
 }
@@ -207,16 +195,9 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(reconnects));
   std::printf("recovery ms: p50 %.1f  p95 %.1f  max %.1f   shed rate: "
               "p50 %.4f  max %.4f\n",
-              Percentile(recovery_ms, 0.5), Percentile(recovery_ms, 0.95),
-              recovery_ms.empty()
-                  ? 0.0
-                  : *std::max_element(recovery_ms.begin(),
-                                      recovery_ms.end()),
-              Percentile(shed_rates, 0.5),
-              shed_rates.empty()
-                  ? 0.0
-                  : *std::max_element(shed_rates.begin(),
-                                      shed_rates.end()));
+              common::Quantile(recovery_ms, 0.5),
+              common::Quantile(recovery_ms, 0.95), common::Max(recovery_ms),
+              common::Quantile(shed_rates, 0.5), common::Max(shed_rates));
   std::printf("disabled faultenv overhead: %.3fx raw write(2)   wall %.1f "
               "s\n",
               overhead, wall_sec);

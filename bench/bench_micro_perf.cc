@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/random.h"
 #include "common/simd/simd.h"
 #include "core/anomaly_detector.h"
@@ -76,7 +77,7 @@ void BM_PredicateGeneration_Rows(benchmark::State& state) {
 BENCHMARK(BM_PredicateGeneration_Rows)->Arg(120)->Arg(300)->Arg(600)->Arg(1800)->Arg(3600);
 
 // The batch-kernel path pinned to the scalar table: what the dispatch path
-// falls back to on hosts without SSE2/AVX2. BM_PredicateGeneration_Rows /
+// falls back to on hosts without AVX2. BM_PredicateGeneration_Rows /
 // this = the vector-unit speedup of the diagnosis hot loop.
 void BM_PredicateGeneration_Rows_Scalar(benchmark::State& state) {
   simulator::GeneratedDataset ds = RowsScaledDataset(state.range(0));
@@ -341,14 +342,6 @@ void BM_SquaredDistances_Dispatch(benchmark::State& state) {
 BENCHMARK(BM_SquaredDistances_Scalar)->Arg(4096)->Arg(32768);
 BENCHMARK(BM_SquaredDistances_Dispatch)->Arg(4096)->Arg(32768);
 
-const char* BuildType() {
-#ifdef NDEBUG
-  return "release";
-#else
-  return "debug";
-#endif
-}
-
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): records the build type and the
@@ -358,13 +351,15 @@ const char* BuildType() {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--print-build-info") == 0) {
-      std::printf("build_type=%s simd_isa=%s simd_best_isa=%s\n", BuildType(),
+      std::printf("build_type=%s simd_isa=%s simd_best_isa=%s\n",
+                  dbsherlock::bench::BuildType(),
                   simd::IsaName(simd::ActiveIsa()),
                   simd::IsaName(simd::BestSupportedIsa()));
       return 0;
     }
   }
-  benchmark::AddCustomContext("dbsherlock_build_type", BuildType());
+  benchmark::AddCustomContext("dbsherlock_build_type",
+                              dbsherlock::bench::BuildType());
   benchmark::AddCustomContext("simd_isa", simd::IsaName(simd::ActiveIsa()));
   benchmark::AddCustomContext("simd_best_isa",
                               simd::IsaName(simd::BestSupportedIsa()));

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -362,6 +363,21 @@ common::JsonValue StatsJson() {
     }
   }
   return common::JsonValue(std::move(out));
+}
+
+Status WriteAll(const char* site, int fd, const void* buf, size_t n,
+                const std::string& path) {
+  const char* data = static_cast<const char*>(buf);
+  size_t done = 0;
+  while (done < n) {
+    ssize_t w = Write(site, fd, data + done, n - done);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("write " + path + ": " + std::strerror(errno));
+    }
+    done += static_cast<size_t>(w);
+  }
+  return Status::OK();
 }
 
 }  // namespace dbsherlock::common::faultenv

@@ -136,6 +136,11 @@ inline int Connect(const char* site, int fd, const sockaddr* addr,
   return internal::ConnectFaulty(site, fd, addr, len);
 }
 
+/// Write() until all `n` bytes land, retrying short writes and EINTR. A
+/// failure is an IoError naming `path`.
+common::Status WriteAll(const char* site, int fd, const void* buf, size_t n,
+                        const std::string& path);
+
 }  // namespace dbsherlock::common::faultenv
 
 #endif  // DBSHERLOCK_COMMON_FAULTENV_H_

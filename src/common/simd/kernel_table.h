@@ -28,10 +28,6 @@ struct KernelTable {
 /// The scalar table (always available; also the tail/reference semantics).
 const KernelTable& ScalarTable();
 
-/// The SSE2 table, or the scalar table when this build has no SSE2 TU.
-const KernelTable& Sse2Table();
-bool Sse2KernelsCompiled();
-
 /// The AVX2 table, or the scalar table when this build has no AVX2 TU.
 const KernelTable& Avx2Table();
 bool Avx2KernelsCompiled();

@@ -19,17 +19,6 @@ namespace {
 
 using detail::KernelTable;
 
-bool CpuHasSse2() {
-#if defined(__x86_64__) || defined(_M_X64)
-  // SSE2 is architecturally guaranteed on x86-64.
-  return true;
-#elif defined(__i386__)
-  return __builtin_cpu_supports("sse2");
-#else
-  return false;
-#endif
-}
-
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64)
   return __builtin_cpu_supports("avx2");
@@ -42,8 +31,6 @@ const KernelTable& TableFor(Isa isa) {
   switch (isa) {
     case Isa::kAvx2:
       return detail::Avx2Table();
-    case Isa::kSse2:
-      return detail::Sse2Table();
     case Isa::kScalar:
       break;
   }
@@ -65,7 +52,7 @@ Isa ResolveStartupIsa() {
     if (!requested.has_value()) {
       std::fprintf(stderr,
                    "dbsherlock: ignoring unknown DBSHERLOCK_FORCE_ISA=%s "
-                   "(expected scalar|sse2|avx2); using %s\n",
+                   "(expected scalar|avx2); using %s\n",
                    force, IsaName(picked));
     } else if (!IsaSupported(*requested)) {
       std::fprintf(stderr,
@@ -97,8 +84,6 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
   }
@@ -113,7 +98,6 @@ std::optional<Isa> ParseIsaName(const std::string& name) {
         std::tolower(static_cast<unsigned char>(c))));
   }
   if (lower == "scalar") return Isa::kScalar;
-  if (lower == "sse2") return Isa::kSse2;
   if (lower == "avx2") return Isa::kAvx2;
   return std::nullopt;
 }
@@ -122,8 +106,6 @@ bool IsaSupported(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kSse2:
-      return detail::Sse2KernelsCompiled() && CpuHasSse2();
     case Isa::kAvx2:
       return detail::Avx2KernelsCompiled() && CpuHasAvx2();
   }
@@ -132,7 +114,6 @@ bool IsaSupported(Isa isa) {
 
 Isa BestSupportedIsa() {
   if (IsaSupported(Isa::kAvx2)) return Isa::kAvx2;
-  if (IsaSupported(Isa::kSse2)) return Isa::kSse2;
   return Isa::kScalar;
 }
 

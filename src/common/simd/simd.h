@@ -11,13 +11,14 @@ namespace dbsherlock::common::simd {
 // ---------------------------------------------------------------------------
 // Runtime ISA dispatch (DESIGN.md §12).
 //
-// Every kernel below has three implementations — scalar, SSE2, AVX2 — that
-// produce bit-identical results (see the lane discipline note), selected
-// once per process from CPUID. Release builds carry no -march flags; the
-// AVX2 translation unit alone is compiled with -mavx2 and is only reachable
+// Every kernel below has two implementations — the scalar reference and
+// AVX2 — that produce bit-identical results (see the lane discipline note),
+// selected once per process from CPUID: AVX2 where the CPU has it, scalar
+// everywhere else. Release builds carry no -march flags; the AVX2
+// translation unit alone is compiled with -mavx2 and is only reachable
 // through the dispatch table after the CPU check.
 //
-// Override order: DBSHERLOCK_FORCE_ISA=scalar|sse2|avx2 in the environment
+// Override order: DBSHERLOCK_FORCE_ISA=scalar|avx2 in the environment
 // (clamped to the best supported ISA with a one-line stderr warning if the
 // host can't run the request), then ScopedIsaOverride/SetActiveIsa for
 // tests and benchmarks.
@@ -25,11 +26,10 @@ namespace dbsherlock::common::simd {
 
 enum class Isa : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// Display name: "scalar", "sse2", "avx2".
+/// Display name: "scalar", "avx2".
 const char* IsaName(Isa isa);
 
 /// Parses an IsaName (case-insensitive); nullopt for anything else.
@@ -75,15 +75,15 @@ class ScopedIsaOverride {
 // and are NaN-mask aware: non-finite cells never contaminate mins, sums or
 // counts (PR 2's quality-gating contract).
 //
-// Lane discipline (why scalar == SSE2 == AVX2 bitwise): reductions are
-// defined over eight logical lanes; element i belongs to lane i mod 8.
+// Lane discipline (why scalar == AVX2 bitwise): reductions are defined
+// over eight logical lanes; element i belongs to lane i mod 8.
 // (Eight, not four: two independent accumulator registers per YMM kind
 // keep the ADDPD latency chain from bounding throughput.) Sums accumulate
 // per lane in element order (masked cells contribute +0.0) and the lanes
 // reduce as ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). Min/max fold per lane
 // with the x86 MINPD/MAXPD operation a < b ? a : b (returns b on ties, so
 // even the ±0.0 edge matches) and reduce in the same fixed tree. The scalar
-// implementation follows the identical discipline, so every ISA rounds the
+// implementation follows the identical discipline, so both tiers round the
 // exact same intermediate values. Element-wise kernels are trivially
 // identical (same IEEE ops per element; FP contraction is disabled in the
 // SIMD translation units).

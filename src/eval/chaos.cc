@@ -14,7 +14,6 @@
 #include <set>
 #include <thread>
 
-#include "common/parallel.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "common/trace.h"
@@ -39,12 +38,6 @@ Status EnsureDir(const std::string& path) {
 
 /// Timestamp identity that survives a CSV round-trip (micro-second grid).
 int64_t TsKey(double ts) { return std::llround(ts * 1e6); }
-
-struct TenantPlan {
-  std::string name;
-  simulator::GeneratedDataset data;
-  std::string cause;
-};
 
 }  // namespace
 
@@ -195,39 +188,13 @@ Result<ChaosResult> RunChaosEpisode(const ChaosOptions& options) {
   DBSHERLOCK_RETURN_NOT_OK(EnsureDir(wal_dir));
   DBSHERLOCK_RETURN_NOT_OK(EnsureDir(store_dir));
 
-  // Per-tenant streams (independent seeds) plus offline-trained models
-  // for the distinct classes, mirroring service_replay.
-  std::vector<TenantPlan> plans = common::ParallelMap(
-      options.num_tenants, [&](size_t i) {
-        TenantPlan plan;
-        plan.name = common::StrFormat("tenant%zu", i);
-        simulator::AnomalyKind kind = all[i % all.size()];
-        plan.cause = simulator::AnomalyKindName(kind);
-        simulator::DatasetGenOptions gen = options.gen;
-        gen.seed = options.gen.seed + 17 * i + 1;
-        plan.data = simulator::GenerateAnomalyDataset(
-            gen, kind, options.anomaly_duration_sec,
-            options.anomaly_magnitude);
-        return plan;
-      });
-  std::vector<simulator::AnomalyKind> used(
-      all.begin(),
-      all.begin() + std::min(all.size(), options.num_tenants));
-  size_t sets = std::max<size_t>(1, options.train_sets_per_cause);
-  core::Explainer::Options ex;  // defaults match the daemon's explainer
-  std::vector<core::CausalModel> taught = common::ParallelMap(
-      used.size() * sets, [&](size_t i) {
-        simulator::DatasetGenOptions gen = options.gen;
-        gen.seed = options.gen.seed + 100003 + i;
-        simulator::AnomalyKind kind = used[i / sets];
-        simulator::GeneratedDataset train = simulator::GenerateAnomalyDataset(
-            gen, kind, options.anomaly_duration_sec,
-            options.anomaly_magnitude);
-        return BuildCausalModel(
-            train, simulator::AnomalyKindName(kind), ex.predicate_options,
-            ex.apply_domain_knowledge ? &ex.domain_knowledge : nullptr,
-            ex.independence_options);
-      });
+  // Per-tenant streams plus offline-trained models for the distinct
+  // classes; the default explainer options match the daemon's.
+  TenantWorkload workload = PlanTenants(
+      all, options.num_tenants, options.gen, options.anomaly_duration_sec,
+      options.anomaly_magnitude, options.train_sets_per_cause, {});
+  const std::vector<TenantPlan>& plans = workload.tenants;
+  const std::vector<core::CausalModel>& taught = workload.models;
 
   DaemonProcess daemon;
   DaemonProcess::Options dopts;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/parallel.h"
 #include "common/stats.h"
+#include "common/strings.h"
 
 namespace dbsherlock::eval {
 
@@ -113,6 +115,40 @@ RankingOutcome RankAgainst(const core::ModelRepository& repository,
   } else {
     out.margin = saw_incorrect ? -best_incorrect : 0.0;
   }
+  return out;
+}
+
+TenantWorkload PlanTenants(const std::vector<simulator::AnomalyKind>& kinds,
+                           size_t num_tenants,
+                           const simulator::DatasetGenOptions& gen,
+                           double anomaly_duration_sec,
+                           double anomaly_magnitude,
+                           size_t train_sets_per_cause,
+                           const core::Explainer::Options& explainer) {
+  auto generate = [&](uint64_t seed, simulator::AnomalyKind kind) {
+    simulator::DatasetGenOptions stream = gen;
+    stream.seed = seed;
+    return simulator::GenerateAnomalyDataset(
+        stream, kind, anomaly_duration_sec, anomaly_magnitude);
+  };
+  TenantWorkload out;
+  out.tenants = common::ParallelMap(num_tenants, [&](size_t i) {
+    simulator::AnomalyKind kind = kinds[i % kinds.size()];
+    return TenantPlan{common::StrFormat("tenant%zu", i),
+                      generate(gen.seed + 17 * i + 1, kind),
+                      simulator::AnomalyKindName(kind)};
+  });
+  size_t used = std::min(kinds.size(), num_tenants);
+  size_t sets = std::max<size_t>(1, train_sets_per_cause);
+  out.models = common::ParallelMap(used * sets, [&](size_t i) {
+    simulator::AnomalyKind kind = kinds[i / sets];
+    return BuildCausalModel(
+        generate(gen.seed + 100003 + i, kind), simulator::AnomalyKindName(kind),
+        explainer.predicate_options,
+        explainer.apply_domain_knowledge ? &explainer.domain_knowledge
+                                         : nullptr,
+        explainer.independence_options);
+  });
   return out;
 }
 

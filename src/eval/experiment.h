@@ -56,6 +56,33 @@ core::CausalModel BuildCausalModel(
     const core::DomainKnowledge* knowledge = nullptr,
     const core::IndependenceTestOptions& independence = {});
 
+/// One simulated tenant of a service drill: its stream and the cause the
+/// stream carries.
+struct TenantPlan {
+  std::string name;  // "tenant<i>"
+  simulator::GeneratedDataset data;
+  std::string cause;
+};
+
+/// What a service drill streams and teaches.
+struct TenantWorkload {
+  std::vector<TenantPlan> tenants;
+  std::vector<core::CausalModel> models;  // taught offline, TEACH order
+};
+
+/// Tenant i streams kinds[i % kinds.size()] from seed gen.seed + 17i + 1.
+/// Each distinct cause among the tenants gets `train_sets_per_cause`
+/// (at least 1) models, each built from its own stream (seeds from
+/// gen.seed + 100003) with `explainer`'s predicate, domain-knowledge and
+/// independence options. Requires a non-empty `kinds`.
+TenantWorkload PlanTenants(const std::vector<simulator::AnomalyKind>& kinds,
+                           size_t num_tenants,
+                           const simulator::DatasetGenOptions& gen,
+                           double anomaly_duration_sec,
+                           double anomaly_magnitude,
+                           size_t train_sets_per_cause,
+                           const core::Explainer::Options& explainer);
+
 /// Builds one merged model per class from the datasets at `train_indices`
 /// and returns a repository holding all of them.
 core::ModelRepository BuildMergedRepository(

@@ -4,12 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "common/stats.h"
 #include "core/explainer.h"
 #include "eval/chaos.h"
 #include "query/compiler.h"
@@ -30,21 +30,6 @@ using common::Status;
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// Mean and p99 (nearest-rank) of a latency sample, in the sample's unit.
-void Summarize(std::vector<double> samples, double* mean, double* p99) {
-  *mean = 0.0;
-  *p99 = 0.0;
-  if (samples.empty()) return;
-  double sum = 0.0;
-  for (double s : samples) sum += s;
-  *mean = sum / static_cast<double>(samples.size());
-  std::sort(samples.begin(), samples.end());
-  size_t rank = static_cast<size_t>(
-      std::ceil(0.99 * static_cast<double>(samples.size())));
-  rank = std::min(std::max<size_t>(rank, 1), samples.size());
-  *p99 = samples[rank - 1];
 }
 
 }  // namespace
@@ -143,7 +128,8 @@ Result<QuerySweepResult> RunQuerySweep(const QuerySweepOptions& options) {
     parse_us.push_back(SecondsSince(t0) * 1e6);
     if (!parsed.ok()) return parsed.status();
   }
-  Summarize(std::move(parse_us), &result.parse_us_mean, &result.parse_us_p99);
+  result.parse_us_mean = common::Mean(parse_us);
+  result.parse_us_p99 = common::Quantile(parse_us, 0.99);
 
   auto parsed = query::Parse(result.statement);
   if (!parsed.ok()) return parsed.status();
@@ -161,8 +147,8 @@ Result<QuerySweepResult> RunQuerySweep(const QuerySweepOptions& options) {
     if (!c.ok()) return c.status();
     compiled = std::move(*c);
   }
-  Summarize(std::move(compile_us), &result.compile_us_mean,
-            &result.compile_us_p99);
+  result.compile_us_mean = common::Mean(compile_us);
+  result.compile_us_p99 = common::Quantile(compile_us, 0.99);
   result.quantile_segments_total = compiled.quantile_stats.segments_total;
   result.quantile_segments_decoded = compiled.quantile_stats.segments_decoded;
 
@@ -243,11 +229,8 @@ Result<QuerySweepResult> RunQuerySweep(const QuerySweepOptions& options) {
     if (!report.ok()) return report.status();
   }
   result.e2e_queries = e2e_ms.size();
-  std::sort(e2e_ms.begin(), e2e_ms.end());
-  result.e2e_p50_ms = e2e_ms[e2e_ms.size() / 2];
-  double mean_unused, p99;
-  Summarize(std::move(e2e_ms), &mean_unused, &p99);
-  result.e2e_p99_ms = p99;
+  result.e2e_p50_ms = common::Quantile(e2e_ms, 0.50);
+  result.e2e_p99_ms = common::Quantile(e2e_ms, 0.99);
   (void)(*client)->Quit();
   (void)std::system(cleanup.c_str());
   return result;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <thread>
 
-#include "common/parallel.h"
-#include "common/strings.h"
+#include "common/stats.h"
 #include "common/trace.h"
 #include "eval/experiment.h"
 #include "service/client.h"
@@ -25,12 +23,6 @@ bool Overlaps(const tsdata::RegionSpec& truth, double start, double end) {
   }
   return false;
 }
-
-struct TenantPlan {
-  std::string name;
-  simulator::GeneratedDataset data;
-  std::string cause;
-};
 
 }  // namespace
 
@@ -92,41 +84,13 @@ Result<ServiceReplayResult> RunServiceReplay(
     return Status::InvalidArgument("replay needs tenants and anomaly kinds");
   }
 
-  // Per-tenant datasets (independent seeds) and the distinct classes that
-  // need a taught model.
-  std::vector<TenantPlan> plans = common::ParallelMap(
-      options.num_tenants, [&](size_t i) {
-        TenantPlan plan;
-        plan.name = common::StrFormat("tenant%zu", i);
-        simulator::AnomalyKind kind = all[i % all.size()];
-        plan.cause = simulator::AnomalyKindName(kind);
-        simulator::DatasetGenOptions gen = options.gen;
-        gen.seed = options.gen.seed + 17 * i + 1;
-        plan.data = simulator::GenerateAnomalyDataset(
-            gen, kind, options.anomaly_duration_sec,
-            options.anomaly_magnitude);
-        return plan;
-      });
-
-  std::vector<simulator::AnomalyKind> used(
-      all.begin(),
-      all.begin() + std::min(all.size(),
-                             static_cast<size_t>(options.num_tenants)));
-  size_t sets = std::max<size_t>(1, options.train_sets_per_cause);
-  std::vector<core::CausalModel> taught = common::ParallelMap(
-      used.size() * sets, [&](size_t i) {
-        simulator::DatasetGenOptions gen = options.gen;
-        gen.seed = options.gen.seed + 100003 + i;  // distinct train stream
-        simulator::AnomalyKind kind = used[i / sets];
-        simulator::GeneratedDataset train = simulator::GenerateAnomalyDataset(
-            gen, kind, options.anomaly_duration_sec,
-            options.anomaly_magnitude);
-        const core::Explainer::Options& ex = options.service.explainer;
-        return BuildCausalModel(
-            train, simulator::AnomalyKindName(kind), ex.predicate_options,
-            ex.apply_domain_knowledge ? &ex.domain_knowledge : nullptr,
-            ex.independence_options);
-      });
+  // Per-tenant datasets and the models taught for their classes.
+  TenantWorkload workload = PlanTenants(
+      all, options.num_tenants, options.gen, options.anomaly_duration_sec,
+      options.anomaly_magnitude, options.train_sets_per_cause,
+      options.service.explainer);
+  const std::vector<TenantPlan>& plans = workload.tenants;
+  const std::vector<core::CausalModel>& taught = workload.models;
 
   service::Service::Options service_options = options.service;
   service_options.store = store;
@@ -254,16 +218,8 @@ Result<ServiceReplayResult> RunServiceReplay(
                    run.append_us.end());
     result.tenants.push_back(std::move(run.outcome));
   }
-  if (!all_lat.empty()) {
-    double sum = 0.0;
-    for (double v : all_lat) sum += v;
-    result.mean_append_us = sum / static_cast<double>(all_lat.size());
-    std::sort(all_lat.begin(), all_lat.end());
-    size_t p99 = std::min(all_lat.size() - 1,
-                          static_cast<size_t>(std::ceil(
-                              0.99 * static_cast<double>(all_lat.size()))));
-    result.p99_append_us = all_lat[p99];
-  }
+  result.mean_append_us = common::Mean(all_lat);
+  result.p99_append_us = common::Quantile(all_lat, 0.99);
   result.rows_per_sec =
       result.wall_sec > 0
           ? static_cast<double>(result.rows_acked) / result.wall_sec

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/stats.h"
 #include "common/strings.h"
 #include "tsdata/schema.h"
 
@@ -224,13 +225,6 @@ class ReplayWorker {
   std::vector<double> latencies_ms_;
 };
 
-double Percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  size_t idx = static_cast<size_t>(q * static_cast<double>(sorted.size()));
-  if (idx >= sorted.size()) idx = sorted.size() - 1;
-  return sorted[idx];
-}
-
 }  // namespace
 
 Result<FleetReplayResult> RunFleetReplay(const FleetReplayOptions& options) {
@@ -268,11 +262,10 @@ Result<FleetReplayResult> RunFleetReplay(const FleetReplayOptions& options) {
     result.rows_per_sec =
         static_cast<double>(result.rows_acked) / result.wall_seconds;
   }
-  std::vector<double>& latencies = counters.latencies_ms;
-  std::sort(latencies.begin(), latencies.end());
-  result.p50_append_ms = Percentile(latencies, 0.50);
-  result.p99_append_ms = Percentile(latencies, 0.99);
-  if (!latencies.empty()) result.max_append_ms = latencies.back();
+  const std::vector<double>& latencies = counters.latencies_ms;
+  result.p50_append_ms = common::Quantile(latencies, 0.50);
+  result.p99_append_ms = common::Quantile(latencies, 0.99);
+  result.max_append_ms = common::Max(latencies);
   return result;
 }
 

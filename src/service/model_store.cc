@@ -55,22 +55,6 @@ Status Errno(const std::string& what, const std::string& path) {
   return Status::IoError(what + " " + path + ": " + std::strerror(errno));
 }
 
-/// Writes all of `data` to `fd`, retrying short writes and EINTR. `site`
-/// tags the write for fault injection (faultenv.h).
-Status WriteAll(const char* site, int fd, const uint8_t* data, size_t n,
-                const std::string& path) {
-  size_t done = 0;
-  while (done < n) {
-    ssize_t w = common::faultenv::Write(site, fd, data + done, n - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write", path);
-    }
-    done += static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 DurableModelStore::DurableModelStore(Options options)
@@ -237,8 +221,9 @@ Status DurableModelStore::AppendRecordLocked(const core::CausalModel& model) {
   if (options_.fail_append_after_bytes < n) {
     // Injected crash: write a prefix, then behave as if the process died —
     // the fd stays as-is and every later write fails fast.
-    (void)WriteAll("wal.write", wal_fd_, bytes,
-                   options_.fail_append_after_bytes, WalPath());
+    (void)common::faultenv::WriteAll("wal.write", wal_fd_, bytes,
+                                     options_.fail_append_after_bytes,
+                                     WalPath());
     (void)::fsync(wal_fd_);
     failed_ = true;
     return Status::IoError("injected crash during WAL append");
@@ -252,7 +237,8 @@ Status DurableModelStore::AppendRecordLocked(const core::CausalModel& model) {
   {
     common::ScopedLatency timer(
         metrics.GetHistogram("model_store.wal_append_us"));
-    status = WriteAll("wal.write", wal_fd_, bytes, n, WalPath());
+    status = common::faultenv::WriteAll("wal.write", wal_fd_, bytes, n,
+                                        WalPath());
   }
   if (status.ok() && options_.fsync_each_append) {
     common::ScopedLatency timer(
@@ -321,9 +307,9 @@ Status DurableModelStore::CompactLocked() {
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                   0644);
   if (fd < 0) return Errno("open", tmp);
-  Status write_status =
-      WriteAll("snap.write", fd, reinterpret_cast<const uint8_t*>(text.data()),
-               text.size(), tmp);
+  Status write_status = common::faultenv::WriteAll("snap.write", fd,
+                                                  text.data(), text.size(),
+                                                  tmp);
   if (write_status.ok() && common::faultenv::Fsync("snap.fsync", fd) != 0) {
     write_status = Errno("fsync", tmp);
   }

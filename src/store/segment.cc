@@ -18,19 +18,18 @@ using common::Status;
 
 // --- Segment framing (DESIGN.md §11, §14) -------------------------------
 //
-//   "DBSG" | u32 version | block* | [zone block | u32 zone_len | "DBSZ"]
+//   "DBSG" | u32 version | block* | zone block | u32 zone_len | "DBSZ"
 //   block := u32 payload_len | u32 crc32(payload) | payload
 //
-// Block order is fixed: meta, timestamps, then one block per column.
-// Version 2 appends a CRC-framed zone-map block after the last column,
-// followed by an 8-byte trailer (u32 framed zone-block length + "DBSZ"
-// magic) so the footer is locatable from the end of the file without
-// walking the column blocks. Version 1 blobs end at the last column.
+// Block order is fixed: meta, timestamps, then one block per column, then
+// a CRC-framed zone-map block followed by an 8-byte trailer (u32 framed
+// zone-block length + "DBSZ" magic) so the footer is locatable from the
+// end of the file without walking the column blocks. Version 2 is the one
+// format; any other version is refused, never treated as corruption.
 
 constexpr char kMagic[4] = {'D', 'B', 'S', 'G'};
 constexpr char kZoneMagic[4] = {'D', 'B', 'S', 'Z'};
-constexpr uint32_t kVersionV1 = 1;
-constexpr uint32_t kVersionV2 = 2;
+constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderSize = 8;      // magic + version
 constexpr size_t kBlockHeaderSize = 8; // len + crc
 constexpr size_t kTrailerSize = 8;     // u32 zone_len + "DBSZ"
@@ -496,6 +495,14 @@ std::string EncodeColumnBlock(const tsdata::Column& column) {
   return payload;
 }
 
+/// What the meta block says about a segment.
+struct SegmentMeta {
+  tsdata::Schema schema;
+  uint64_t rows = 0;
+  double min_ts = 0.0;  // timestamp of the first row (segments are sorted)
+  double max_ts = 0.0;  // timestamp of the last row
+};
+
 Status DecodeMetaBlock(std::string_view payload, SegmentMeta* meta) {
   ByteReader reader(payload);
   uint32_t nattrs = 0;
@@ -551,7 +558,7 @@ Status NextBlock(std::string_view* bytes, std::string_view* payload) {
   return Status::OK();
 }
 
-Status CheckHeader(std::string_view* bytes, uint32_t* version_out) {
+Status CheckHeader(std::string_view* bytes) {
   if (bytes->size() < kHeaderSize) {
     return Status::ParseError("segment: shorter than header");
   }
@@ -561,12 +568,13 @@ Status CheckHeader(std::string_view* bytes, uint32_t* version_out) {
   ByteReader reader(bytes->substr(4));
   uint32_t version = 0;
   DBSHERLOCK_RETURN_NOT_OK(reader.ReadU32(&version));
-  if (version != kVersionV1 && version != kVersionV2) {
-    return Status::ParseError(
-        common::StrFormat("segment: unsupported version %u", version));
+  if (version != kVersion) {
+    // Intact bytes this build cannot read (a crash tears a tail, never the
+    // header word): FailedPrecondition, so recovery keeps the file.
+    return Status::FailedPrecondition(
+        common::StrFormat("segment: unsupported format version %u", version));
   }
   bytes->remove_prefix(kHeaderSize);
-  *version_out = version;
   return Status::OK();
 }
 
@@ -624,7 +632,7 @@ Status DecodeZoneBlock(std::string_view payload, ZoneMap* zones) {
   return Status::OK();
 }
 
-/// Splits a v2 tail into the framed zone block and validates the 8-byte
+/// Splits the tail into the framed zone block and validates the 8-byte
 /// trailer. `tail` must be exactly `zone block | trailer`.
 Status ConsumeZoneFooter(std::string_view tail, ZoneMap* zones) {
   if (tail.size() < kBlockHeaderSize + kTrailerSize) {
@@ -718,8 +726,7 @@ Result<tsdata::Column> DecodeColumnBlock(std::string_view payload,
 /// column storage.
 Result<tsdata::Dataset> Decode(std::string_view bytes,
                                const std::span<const size_t>* projection) {
-  uint32_t version = 0;
-  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&bytes, &version));
+  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&bytes));
   std::string_view payload;
   DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
   SegmentMeta meta;
@@ -759,16 +766,13 @@ Result<tsdata::Dataset> Decode(std::string_view bytes,
     if (!column.ok()) return column.status();
     columns.push_back(std::move(*column));
   }
-  if (version == kVersionV2) {
-    // The footer is required: a v2 blob whose zone block was torn off is
-    // corrupt, same as a missing column block.
-    ZoneMap zones;
-    DBSHERLOCK_RETURN_NOT_OK(ConsumeZoneFooter(bytes, &zones));
-    if (zones.rows != meta.rows) {
-      return Status::ParseError("segment: zone map disagrees with meta");
-    }
-  } else if (!bytes.empty()) {
-    return Status::ParseError("segment: trailing bytes after last block");
+  // The footer is required (a blob whose zone block was torn off is
+  // corrupt, same as a missing column block) and must describe these rows
+  // with one zone per attribute: the manifest indexes zones by attribute.
+  ZoneMap zones;
+  DBSHERLOCK_RETURN_NOT_OK(ConsumeZoneFooter(bytes, &zones));
+  if (zones.rows != meta.rows || zones.attrs.size() != nattrs) {
+    return Status::ParseError("segment: zone map disagrees with meta");
   }
   return tsdata::Dataset::FromColumns(std::move(schema), std::move(timestamps),
                                       std::move(columns));
@@ -806,7 +810,7 @@ ZoneMap ComputeZoneMap(const tsdata::Dataset& data) {
 std::string EncodeSegment(const tsdata::Dataset& data) {
   std::string out;
   out.append(kMagic, sizeof(kMagic));
-  AppendU32(&out, kVersionV2);
+  AppendU32(&out, kVersion);
   AppendBlock(&out, EncodeMetaBlock(data));
   AppendBlock(&out, EncodeTimestampBlock(data));
   for (size_t i = 0; i < data.num_attributes(); ++i) {
@@ -819,22 +823,9 @@ std::string EncodeSegment(const tsdata::Dataset& data) {
   return out;
 }
 
-Result<SegmentMeta> ReadSegmentMeta(std::string_view bytes) {
-  SegmentMeta meta;
-  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&bytes, &meta.version));
-  std::string_view payload;
-  DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
-  DBSHERLOCK_RETURN_NOT_OK(DecodeMetaBlock(payload, &meta));
-  return meta;
-}
-
 Result<ZoneMap> ReadSegmentZoneMap(std::string_view bytes) {
   std::string_view body = bytes;
-  uint32_t version = 0;
-  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&body, &version));
-  if (version == kVersionV1) {
-    return Status::NotFound("segment: v1 blob has no zone-map footer");
-  }
+  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&body));
   // The trailer's length field tells us where the framed zone block
   // starts; ConsumeZoneFooter re-validates the whole tail.
   if (body.size() < kBlockHeaderSize + kTrailerSize) {

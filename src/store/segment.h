@@ -13,16 +13,6 @@
 
 namespace dbsherlock::store {
 
-/// Cheap per-segment summary decoded from the meta block alone, used to
-/// build the manifest without inflating row data.
-struct SegmentMeta {
-  tsdata::Schema schema;
-  uint64_t rows = 0;
-  double min_ts = 0.0;  // timestamp of the first row (segments are sorted)
-  double max_ts = 0.0;  // timestamp of the last row
-  uint32_t version = 0;  // segment format version (1 = no zone footer)
-};
-
 /// Per-attribute value summary inside a segment's zone-map footer
 /// (DESIGN.md §14). `min`/`max` span the non-NaN values *including* ±Inf
 /// — an all-Inf column must not be pruned under a `v >= lo` bound — so
@@ -54,26 +44,26 @@ struct ZoneMap {
 };
 
 /// Computes the zone map for a dataset by one pass over its columns.
-/// This is the exact function the encoder uses at seal time, so a map
-/// synthesized for an old footer-less segment is bit-identical to the
-/// one a re-encode would embed.
+/// This is the exact function the encoder uses at seal time, so the
+/// manifest entry a seal builds matches the footer it writes.
 ZoneMap ComputeZoneMap(const tsdata::Dataset& data);
 
 /// Serialises a dataset into an immutable segment blob (DESIGN.md §11):
 /// a "DBSG" magic + version header followed by CRC-32-framed blocks —
 /// schema/meta, delta-of-delta timestamps, then one block per column
 /// (Gorilla-style XOR compression for numeric columns, dictionary +
-/// varint codes for categorical ones), then (v2, DESIGN.md §14) a
+/// varint codes for categorical ones), then (DESIGN.md §14) a
 /// zone-map footer block and an 8-byte "DBSZ" trailer that makes the
 /// footer locatable from the end of the file. The encoding is pure bit
 /// manipulation, so every double — including NaN payloads — round-trips
 /// bit-identically.
 std::string EncodeSegment(const tsdata::Dataset& data);
 
-/// Inflates a segment blob back into a dataset. Accepts both format
-/// versions: v1 (no footer) and v2 (footer required and validated).
-/// Every length, count, and checksum is validated; corrupt or truncated
-/// input yields a clean error Status, never UB.
+/// Inflates a segment blob back into a dataset. The zone-map footer is
+/// required and must agree with the meta block on the row count and the
+/// attribute count. Every length, count, and checksum is validated;
+/// corrupt or truncated input yields a clean ParseError, never UB. A
+/// header naming a format version other than 2 yields FailedPrecondition.
 common::Result<tsdata::Dataset> DecodeSegment(std::string_view bytes);
 
 /// Projected decode (DESIGN.md §11): inflates the timestamps and only the
@@ -87,14 +77,9 @@ common::Result<tsdata::Dataset> DecodeSegment(std::string_view bytes);
 common::Result<tsdata::Dataset> DecodeSegment(std::string_view bytes,
                                               std::span<const size_t> columns);
 
-/// Decodes only the meta block (schema, row count, time range). Cheap:
-/// does not touch the timestamp or column blocks beyond their framing.
-common::Result<SegmentMeta> ReadSegmentMeta(std::string_view bytes);
-
-/// Decodes only the zone-map footer of a v2 segment by seeking to the
-/// trailing "DBSZ" trailer — no timestamp or column block is touched.
-/// Returns NotFound for a v1 (footer-less) segment so the caller can
-/// synthesize the map via a full decode instead.
+/// Decodes only the zone-map footer by seeking to the trailing "DBSZ"
+/// trailer — no timestamp or column block is touched, so the footer is
+/// not checked against the meta block here (DecodeSegment does that).
 common::Result<ZoneMap> ReadSegmentZoneMap(std::string_view bytes);
 
 }  // namespace dbsherlock::store

@@ -34,20 +34,6 @@ Status Errno(const std::string& what, const std::string& path) {
   return Status::IoError(what + " " + path + ": " + std::strerror(errno));
 }
 
-Status WriteAll(int fd, const char* data, size_t n, const std::string& path) {
-  size_t done = 0;
-  while (done < n) {
-    ssize_t w = common::faultenv::Write("seg.write", fd, data + done,
-                                        n - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write", path);
-    }
-    done += static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
 /// Slurps a segment file through the faultenv "seg.read" site. A file
 /// that is gone entirely maps to NotFound so scans can tell a retention
 /// race from real corruption.
@@ -111,28 +97,6 @@ Status FsyncDir(const std::string& dir) {
   return status;
 }
 
-/// Atomically replaces `path` with `blob` via tmp-file + rename — the
-/// one-time v1 → v2 footer upgrade during recovery. Any failure leaves
-/// the original (still valid) file in place.
-Status ReplaceSegmentFile(const std::string& path, const std::string& blob,
-                          bool fsync) {
-  std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
-  if (fd < 0) return Errno("open", tmp);
-  Status status = WriteAll(fd, blob.data(), blob.size(), tmp);
-  if (status.ok() && fsync &&
-      common::faultenv::Fsync("seg.fsync", fd) != 0) {
-    status = Errno("fsync", tmp);
-  }
-  ::close(fd);
-  if (status.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
-    status = Errno("rename", tmp);
-  }
-  if (!status.ok()) (void)::unlink(tmp.c_str());
-  return status;
-}
-
 }  // namespace
 
 TenantStore::TenantStore(Options options) : options_(std::move(options)) {}
@@ -181,6 +145,12 @@ Status TenantStore::RecoverLocked() {
     // the file is caught now, not mid-Scan.
     auto decoded = DecodeSegment(blob);
     if (!decoded.ok()) {
+      if (decoded.status().code() == common::StatusCode::kFailedPrecondition) {
+        // Intact bytes in a format this build cannot read: another build's
+        // history, not a torn tail. Refuse to open and leave the file be.
+        return Status::FailedPrecondition("segment " + path + ": " +
+                                          decoded.status().message());
+      }
       // A corrupt segment is the torn tail of a crash mid-seal: drop it
       // here so every later open sees a clean directory (the tail is
       // truncated exactly once).
@@ -209,22 +179,10 @@ Status TenantStore::RecoverLocked() {
       metrics.GetCounter("store.recovery_empty_dropped")->Increment();
       continue;
     }
-    // v1 (footer-less) segments get their zone map synthesized from the
-    // decode we just did, re-encoded with the v2 footer, and atomically
-    // swapped into place — the upgrade happens exactly once per file.
+    // The decode validated this footer against the meta block, so the
+    // manifest entry carries one zone per attribute.
     auto zones = ReadSegmentZoneMap(blob);
-    if (!zones.ok() &&
-        zones.status().code() == common::StatusCode::kNotFound) {
-      std::string upgraded = EncodeSegment(*decoded);
-      Status replace =
-          ReplaceSegmentFile(path, upgraded, options_.fsync_on_seal);
-      if (replace.ok()) {
-        blob = std::move(upgraded);
-        ++recovery_.segments_upgraded;
-        metrics.GetCounter("store.recovery_upgraded_segments")->Increment();
-        zones = ReadSegmentZoneMap(blob);
-      }
-    }
+    if (!zones.ok()) return zones.status();
     SegmentInfo info;
     info.seq = seq;
     info.path = path;
@@ -232,17 +190,12 @@ Status TenantStore::RecoverLocked() {
     info.min_ts = decoded->timestamp(0);
     info.max_ts = decoded->timestamp(decoded->num_rows() - 1);
     info.bytes = blob.size();
-    // A failed in-place upgrade (e.g. read-only media) is not fatal: the
-    // manifest zone map is synthesized from the decoded rows either way.
-    info.zones = zones.ok() ? std::move(*zones) : ComputeZoneMap(*decoded);
+    info.zones = std::move(*zones);
     have_last_ts_ = true;
     last_ts_ = std::max(last_ts_, info.max_ts);
     segments_.push_back(std::move(info));
     ++recovery_.segments_recovered;
     recovery_.rows_recovered += decoded->num_rows();
-  }
-  if (recovery_.segments_upgraded > 0 && options_.fsync_on_seal) {
-    DBSHERLOCK_RETURN_NOT_OK(FsyncDir(options_.dir));
   }
   active_ = tsdata::Dataset(options_.schema);
   return Status::OK();
@@ -292,7 +245,8 @@ Status TenantStore::SealLocked() {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                   0644);
   if (fd < 0) return Errno("open", path);
-  Status status = WriteAll(fd, blob.data(), blob.size(), path);
+  Status status = common::faultenv::WriteAll("seg.write", fd, blob.data(),
+                                             blob.size(), path);
   if (status.ok() && options_.fsync_on_seal &&
       common::faultenv::Fsync("seg.fsync", fd) != 0) {
     status = Errno("fsync", path);
@@ -585,13 +539,10 @@ Status TenantStore::ScanVisit(const ScanOptions& options,
           ++local.segments_skipped_time;
           continue;
         }
-        bool zone_skip =
-            seg.zones.attrs.size() == options_.schema.num_attributes() &&
-            std::any_of(bounds.begin(), bounds.end(),
-                        [&](const ResolvedBound& b) {
-                          return seg.zones.attrs[b.attr].CannotMatch(b.lo,
-                                                                     b.hi);
-                        });
+        bool zone_skip = std::any_of(
+            bounds.begin(), bounds.end(), [&](const ResolvedBound& b) {
+              return seg.zones.attrs[b.attr].CannotMatch(b.lo, b.hi);
+            });
         if (zone_skip) {
           ++local.segments_skipped_zone;
           continue;
@@ -690,7 +641,6 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
   // Per-attempt state, rebuilt by `plan` from each snapshot.
   QuantileStats local;
   std::vector<double> active_vals;
-  bool counts_known = true;
   uint64_t total = 0;
   uint64_t k = 0;
   uint64_t known_below = 0;
@@ -711,39 +661,12 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
       if (!std::isnan(v)) active_vals.push_back(v);
     }
 
-    // Zone-map census. A segment without a usable zone map (should not
-    // happen after the v2 upgrade, but stay safe) is treated as spanning
-    // everything, which only forces it into the decode set.
-    struct SegCensus {
-      size_t idx = 0;
-      double min = -std::numeric_limits<double>::infinity();
-      double max = std::numeric_limits<double>::infinity();
-      uint64_t count = 0;
-    };
-    std::vector<SegCensus> census;
-    census.reserve(snapshot.segments.size());
+    // Zone-map census: every manifest entry has one zone per attribute.
     total = active_vals.size();
-    counts_known = true;
-    for (size_t s = 0; s < snapshot.segments.size(); ++s) {
-      SegCensus c;
-      c.idx = s;
-      const ZoneMap& zones = snapshot.segments[s].zones;
-      if (zones.attrs.size() == options_.schema.num_attributes()) {
-        c.min = zones.attrs[attr].min;
-        c.max = zones.attrs[attr].max;
-        c.count = zones.attrs[attr].non_nan_count;
-      } else {
-        counts_known = false;
-      }
-      census.push_back(c);
+    for (const SegmentInfo& seg : snapshot.segments) {
+      total += seg.zones.attrs[attr].non_nan_count;
     }
-
-    // Without trustworthy counts the bracket cannot be derived; fall back
-    // to decoding everything (the census entries already span everything).
-    if (counts_known) {
-      for (const SegCensus& c : census) total += c.count;
-    }
-    if (counts_known && total == 0) {
+    if (total == 0) {
       return Status::FailedPrecondition("no non-NaN values stored for '" +
                                         attribute + "'");
     }
@@ -753,52 +676,52 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
     // UB(t) counts values possibly <= t (zone min <= t). The k-th value
     // lies in (lo, hi] where lo is the largest candidate with UB < k and
     // hi the smallest with LB >= k.
-    k = 0;
+    k = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
+    if (k < 1) k = 1;
+    if (k > total) k = total;
     lo = -std::numeric_limits<double>::infinity();
     double hi = std::numeric_limits<double>::infinity();
-    if (counts_known) {
-      k = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-      if (k < 1) k = 1;
-      if (k > total) k = total;
-      std::vector<double> candidates;
-      candidates.reserve(2 * census.size() + active_vals.size());
-      for (const SegCensus& c : census) {
-        if (c.count == 0) continue;
-        if (!std::isnan(c.min)) candidates.push_back(c.min);
-        if (!std::isnan(c.max)) candidates.push_back(c.max);
+    std::vector<double> candidates;
+    candidates.reserve(2 * snapshot.segments.size() + active_vals.size());
+    for (const SegmentInfo& seg : snapshot.segments) {
+      const AttrZone& z = seg.zones.attrs[attr];
+      if (z.non_nan_count == 0) continue;
+      if (!std::isnan(z.min)) candidates.push_back(z.min);
+      if (!std::isnan(z.max)) candidates.push_back(z.max);
+    }
+    candidates.insert(candidates.end(), active_vals.begin(),
+                      active_vals.end());
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    for (double t : candidates) {
+      uint64_t lb = 0;
+      uint64_t ub = 0;
+      for (const SegmentInfo& seg : snapshot.segments) {
+        const AttrZone& z = seg.zones.attrs[attr];
+        if (z.max <= t) lb += z.non_nan_count;
+        if (z.min <= t) ub += z.non_nan_count;
       }
-      candidates.insert(candidates.end(), active_vals.begin(),
-                        active_vals.end());
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      for (double t : candidates) {
-        uint64_t lb = 0;
-        uint64_t ub = 0;
-        for (const SegCensus& c : census) {
-          if (c.max <= t) lb += c.count;
-          if (c.min <= t) ub += c.count;
+      for (double a : active_vals) {
+        if (a <= t) {
+          ++lb;
+          ++ub;
         }
-        for (double a : active_vals) {
-          if (a <= t) {
-            ++lb;
-            ++ub;
-          }
-        }
-        if (ub < k) lo = t;
-        if (lb >= k && t < hi) hi = t;
       }
+      if (ub < k) lo = t;
+      if (lb >= k && t < hi) hi = t;
     }
 
     // Decode only segments straddling (lo, hi]; fully-below segments
     // contribute their counts, fully-above ones nothing at all.
     known_below = 0;
-    for (const SegCensus& c : census) {
-      if (counts_known && c.count == 0) continue;
-      if (c.max <= lo) {
-        known_below += c.count;
-      } else if (c.min <= hi) {
-        plan->push_back(c.idx);
+    for (size_t s = 0; s < snapshot.segments.size(); ++s) {
+      const AttrZone& z = snapshot.segments[s].zones.attrs[attr];
+      if (z.non_nan_count == 0) continue;
+      if (z.max <= lo) {
+        known_below += z.non_nan_count;
+      } else if (z.min <= hi) {
+        plan->push_back(s);
       }
     }
     return Status::OK();
@@ -806,7 +729,7 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
   read.consume = [&](size_t, tsdata::Dataset segment, bool*) {
     for (double v : segment.column(0).numeric_values()) {
       if (std::isnan(v)) continue;
-      if (counts_known && v <= lo) {
+      if (v <= lo) {
         ++known_below;
       } else {
         pool.push_back(v);
@@ -821,23 +744,11 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
   local.segments_decoded = decoded;
 
   for (double a : active_vals) {
-    if (counts_known && a <= lo) {
+    if (a <= lo) {
       ++known_below;
     } else {
       pool.push_back(a);
     }
-  }
-  if (!counts_known) {
-    // Legacy path: everything was decoded; rank over the pool directly.
-    total = pool.size();
-    if (total == 0) {
-      return Status::FailedPrecondition("no non-NaN values stored for '" +
-                                        attribute + "'");
-    }
-    k = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-    if (k < 1) k = 1;
-    if (k > total) k = total;
-    known_below = 0;
   }
   local.values_total = total;
   local.rank = k;

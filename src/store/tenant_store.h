@@ -30,7 +30,8 @@ struct SegmentInfo {
 
 /// What Open() found on disk. Corrupt files are torn tails from a crash
 /// mid-seal: they are deleted during recovery (so the tail is truncated
-/// exactly once) and every intact segment is kept.
+/// exactly once) and every intact segment is kept. Recovery never writes
+/// a segment file.
 struct RecoveryReport {
   size_t segments_recovered = 0;
   uint64_t rows_recovered = 0;
@@ -40,9 +41,6 @@ struct RecoveryReport {
   /// and their meaningless 0.0 time bounds would poison manifest pruning
   /// and pin age-based retention.
   size_t empty_segments_dropped = 0;
-  /// v1 (footer-less) segments re-encoded in place with a zone-map footer
-  /// — the one-time backward-compatible format upgrade.
-  size_t segments_upgraded = 0;
 };
 
 /// A closed numeric-attribute filter pushed into Scan: rows must satisfy
@@ -120,7 +118,9 @@ class TenantStore {
   /// Creates the directory if needed and recovers every intact segment,
   /// deleting corrupt ones (see RecoveryReport). Fails with
   /// FailedPrecondition when the on-disk schema does not match
-  /// `options.schema` — a tenant cannot change schema mid-history.
+  /// `options.schema` — a tenant cannot change schema mid-history — and
+  /// when a segment names a format version this build cannot read; that
+  /// file is left as it is.
   static common::Result<std::unique_ptr<TenantStore>> Open(Options options);
 
   ~TenantStore();

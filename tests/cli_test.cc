@@ -6,31 +6,15 @@
 
 #include <unistd.h>
 
-#include <array>
 #include <cstdio>
 #include <string>
 
+#include "run_command.h"
+
 namespace {
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
-
 RunResult RunCli(const std::string& args) {
-  std::string command = std::string(DBSHERLOCK_CLI_PATH) + " " + args +
-                        " 2>&1";
-  RunResult result;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  std::array<char, 4096> buffer;
-  size_t n;
-  while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
-    result.output.append(buffer.data(), n);
-  }
-  int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
+  return RunCommand(std::string(DBSHERLOCK_CLI_PATH) + " " + args);
 }
 
 std::string TempPath(const std::string& name) {

@@ -5,108 +5,33 @@
 
 #include <gtest/gtest.h>
 
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <array>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "eval/chaos.h"
+#include "run_command.h"
+
 namespace {
-
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  // stdout + stderr
-};
-
-RunResult RunCommand(const std::string& command_in) {
-  std::string command = command_in + " 2>&1";
-  RunResult result;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  std::array<char, 4096> buffer;
-  size_t n;
-  while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
-    result.output.append(buffer.data(), n);
-  }
-  int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
-}
 
 RunResult RunClient(const std::string& args) {
   return RunCommand(std::string(DBSHERLOCK_CLI_PATH) + " client " + args);
 }
 
-/// A live `dbsherlockd serve` child. Start() blocks on the LISTENING
-/// handshake; Terminate() sends SIGTERM and reaps the exit code.
-class Daemon {
- public:
-  ~Daemon() {
-    if (pid_ > 0) {
-      kill(pid_, SIGKILL);
-      waitpid(pid_, nullptr, 0);
-    }
-    if (out_ != nullptr) fclose(out_);
-  }
-
-  bool Start(const std::string& wal_dir,
-             const std::vector<std::string>& extra_args = {}) {
-    int fds[2];
-    if (pipe(fds) != 0) return false;
-    pid_ = fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      // Child: stdout -> pipe (the LISTENING line); stderr inherited so
-      // daemon logs land in the test output.
-      dup2(fds[1], STDOUT_FILENO);
-      close(fds[0]);
-      close(fds[1]);
-      std::vector<const char*> argv = {DBSHERLOCK_DAEMON_PATH, "serve",
-                                       "--port", "0", "--wal-dir",
-                                       wal_dir.c_str()};
-      for (const std::string& arg : extra_args) argv.push_back(arg.c_str());
-      argv.push_back(nullptr);
-      execv(DBSHERLOCK_DAEMON_PATH, const_cast<char* const*>(argv.data()));
-      _exit(127);
-    }
-    close(fds[1]);
-    out_ = fdopen(fds[0], "r");
-    if (out_ == nullptr) return false;
-    char line[256];
-    while (fgets(line, sizeof(line), out_) != nullptr) {
-      if (sscanf(line, "LISTENING %d", &port_) == 1) return true;
-    }
-    return false;
-  }
-
-  /// SIGTERM the daemon and reap its exit code.
-  int Terminate() {
-    kill(pid_, SIGTERM);
-    int status = 0;
-    waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  }
-
-  /// kill -9: no drain, no seal, no goodbye — the crash-recovery case.
-  void Kill9() {
-    kill(pid_, SIGKILL);
-    waitpid(pid_, nullptr, 0);
-    pid_ = -1;
-  }
-
-  int port() const { return port_; }
-
- private:
-  pid_t pid_ = -1;
-  FILE* out_ = nullptr;
-  int port_ = 0;
-};
+/// Starts `dbsherlockd serve --port 0 --wal-dir <wal_dir> <extra_args>`
+/// and waits for its LISTENING handshake.
+testing::AssertionResult StartDaemon(
+    dbsherlock::eval::DaemonProcess* daemon, const std::string& wal_dir,
+    const std::vector<std::string>& extra_args = {}) {
+  std::vector<std::string> args = {"--port", "0", "--wal-dir", wal_dir};
+  args.insert(args.end(), extra_args.begin(), extra_args.end());
+  dbsherlock::common::Status started =
+      daemon->Start({DBSHERLOCK_DAEMON_PATH, "serve", std::move(args)});
+  if (started.ok()) return testing::AssertionSuccess();
+  return testing::AssertionFailure() << started.ToString();
+}
 
 std::string WalDir() {
   return testing::TempDir() + "/dbsherlockd_cli_" + std::to_string(getpid());
@@ -125,8 +50,8 @@ TEST(ServiceCliTest, ClientWithoutDaemonFailsWithIoError) {
 }
 
 TEST(ServiceCliTest, ServeIngestTeachStatsAndCleanShutdown) {
-  Daemon daemon;
-  ASSERT_TRUE(daemon.Start(WalDir()));
+  dbsherlock::eval::DaemonProcess daemon;
+  ASSERT_TRUE(StartDaemon(&daemon, WalDir()));
   std::string connect =
       "--connect 127.0.0.1:" + std::to_string(daemon.port());
 
@@ -156,7 +81,7 @@ TEST(ServiceCliTest, ServeIngestTeachStatsAndCleanShutdown) {
   EXPECT_EQ(bad.exit_code, 3) << bad.output;
   EXPECT_NE(bad.output.find("error"), std::string::npos);
 
-  EXPECT_EQ(daemon.Terminate(), 0);  // SIGTERM drains and exits 0
+  EXPECT_EQ(daemon.Terminate().ValueOr(-1), 0);  // SIGTERM drains and exits 0
 }
 
 /// Writes a tiny telemetry CSV (one `cpu` column, rows t = 0..rows-1).
@@ -172,8 +97,8 @@ std::string WriteCsv(const std::string& name, int rows) {
 TEST(ServiceCliTest, QueryAndStoreInspectOverTheHistoryStore) {
   std::string root = WalDir() + "_hist";
   (void)RunCommand("rm -rf '" + root + "' && mkdir -p '" + root + "'");
-  Daemon daemon;
-  ASSERT_TRUE(daemon.Start(root + "/wal",
+  dbsherlock::eval::DaemonProcess daemon;
+  ASSERT_TRUE(StartDaemon(&daemon, root + "/wal",
                            {"--store-dir", root + "/store", "--seal-rows",
                             "10"}));
   std::string connect =
@@ -193,7 +118,7 @@ TEST(ServiceCliTest, QueryAndStoreInspectOverTheHistoryStore) {
   EXPECT_NE(query.output.find("\n14,44"), std::string::npos);
   EXPECT_EQ(query.output.find("\n15,"), std::string::npos);
 
-  EXPECT_EQ(daemon.Terminate(), 0);
+  EXPECT_EQ(daemon.Terminate().ValueOr(-1), 0);
   // store-inspect reads the sealed segments straight off disk (the clean
   // shutdown sealed the 5-row active tail too).
   RunResult inspect = RunCommand(std::string(DBSHERLOCK_CLI_PATH) +
@@ -215,8 +140,8 @@ TEST(ServiceCliTest, Kill9LosesAtMostTheUnsealedTail) {
   std::vector<std::string> flags = {"--store-dir", root + "/store",
                                     "--seal-rows", "10"};
   {
-    Daemon daemon;
-    ASSERT_TRUE(daemon.Start(root + "/wal", flags));
+    dbsherlock::eval::DaemonProcess daemon;
+    ASSERT_TRUE(StartDaemon(&daemon, root + "/wal", flags));
     std::string connect =
         "--connect 127.0.0.1:" + std::to_string(daemon.port());
     std::string csv = WriteCsv("kill9", 37);
@@ -229,8 +154,8 @@ TEST(ServiceCliTest, Kill9LosesAtMostTheUnsealedTail) {
     ASSERT_EQ(RunClient(connect + " --flush --tenant t0").exit_code, 0);
     daemon.Kill9();
   }
-  Daemon daemon;
-  ASSERT_TRUE(daemon.Start(root + "/wal", flags));
+  dbsherlock::eval::DaemonProcess daemon;
+  ASSERT_TRUE(StartDaemon(&daemon, root + "/wal", flags));
   std::string connect =
       "--connect 127.0.0.1:" + std::to_string(daemon.port());
   // HELLO re-attaches the tenant to its on-disk history (and rehydrates
@@ -249,7 +174,7 @@ TEST(ServiceCliTest, Kill9LosesAtMostTheUnsealedTail) {
   RunResult stats = RunClient(connect + " --stats");
   EXPECT_NE(stats.output.find("\"sealed_rows\": 30"), std::string::npos)
       << stats.output;
-  EXPECT_EQ(daemon.Terminate(), 0);
+  EXPECT_EQ(daemon.Terminate().ValueOr(-1), 0);
 }
 
 /// Telemetry CSV with an injected cpu plateau over [30, 45).
@@ -267,8 +192,8 @@ std::string WriteAnomalyCsv(const std::string& name) {
 TEST(ServiceCliTest, ExplainQueryRendersIncidentReport) {
   std::string root = WalDir() + "_dql";
   (void)RunCommand("rm -rf '" + root + "' && mkdir -p '" + root + "'");
-  Daemon daemon;
-  ASSERT_TRUE(daemon.Start(root + "/wal",
+  dbsherlock::eval::DaemonProcess daemon;
+  ASSERT_TRUE(StartDaemon(&daemon, root + "/wal",
                            {"--store-dir", root + "/store", "--seal-rows",
                             "10"}));
   std::string connect =
@@ -316,14 +241,14 @@ TEST(ServiceCliTest, ExplainQueryRendersIncidentReport) {
   EXPECT_NE(bad.exit_code, 0);
   EXPECT_NE(bad.output.find("^"), std::string::npos) << bad.output;
 
-  EXPECT_EQ(daemon.Terminate(), 0);
+  EXPECT_EQ(daemon.Terminate().ValueOr(-1), 0);
 }
 
 TEST(ServiceCliTest, RestartedDaemonServesRecoveredModels) {
   std::string wal_dir = WalDir() + "_restart";
   {
-    Daemon daemon;
-    ASSERT_TRUE(daemon.Start(wal_dir));
+    dbsherlock::eval::DaemonProcess daemon;
+    ASSERT_TRUE(StartDaemon(&daemon, wal_dir));
     std::string connect =
         "--connect 127.0.0.1:" + std::to_string(daemon.port());
     RunResult teach = RunClient(
@@ -331,15 +256,15 @@ TEST(ServiceCliTest, RestartedDaemonServesRecoveredModels) {
         " --raw 'TEACH {\"cause\":\"Recovered\",\"predicates\":"
         "[{\"attribute\":\"cpu\",\"type\":\"gt\",\"low\":3}]}'");
     ASSERT_EQ(teach.exit_code, 0) << teach.output;
-    ASSERT_EQ(daemon.Terminate(), 0);
+    ASSERT_EQ(daemon.Terminate().ValueOr(-1), 0);
   }
-  Daemon daemon;
-  ASSERT_TRUE(daemon.Start(wal_dir));
+  dbsherlock::eval::DaemonProcess daemon;
+  ASSERT_TRUE(StartDaemon(&daemon, wal_dir));
   RunResult models = RunClient(
       "--connect 127.0.0.1:" + std::to_string(daemon.port()) + " --models");
   EXPECT_EQ(models.exit_code, 0) << models.output;
   EXPECT_NE(models.output.find("Recovered"), std::string::npos);
-  EXPECT_EQ(daemon.Terminate(), 0);
+  EXPECT_EQ(daemon.Terminate().ValueOr(-1), 0);
 }
 
 }  // namespace

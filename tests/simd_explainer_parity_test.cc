@@ -1,5 +1,5 @@
 // End-to-end parity for the SIMD kernel layer (DESIGN.md §12): full
-// diagnoses must be BIT-identical under forced scalar / SSE2 / AVX2 and
+// diagnoses must be BIT-identical under forced scalar and AVX2 and
 // across --threads, on several simulated anomaly datasets. This is the
 // contract that makes runtime dispatch invisible: two hosts with different
 // vector units (or thread counts) produce byte-for-byte the same
@@ -98,14 +98,10 @@ TEST(SimdExplainerParityTest, ExplanationsBitIdenticalAcrossIsas) {
     ASSERT_TRUE(scalar.ok());
     Explanation reference = DiagnoseWithModels(run, 1);
     ASSERT_FALSE(reference.predicates.empty());
-    for (simd::Isa isa : {simd::Isa::kSse2, simd::Isa::kAvx2}) {
-      if (!simd::IsaSupported(isa)) continue;
-      simd::ScopedIsaOverride forced(isa);
-      ASSERT_TRUE(forced.ok());
-      Explanation got = DiagnoseWithModels(run, 1);
-      ExpectBitIdentical(reference, got,
-                         std::string("isa=") + simd::IsaName(isa));
-    }
+    if (!simd::IsaSupported(simd::Isa::kAvx2)) continue;
+    simd::ScopedIsaOverride forced(simd::Isa::kAvx2);
+    ASSERT_TRUE(forced.ok());
+    ExpectBitIdentical(reference, DiagnoseWithModels(run, 1), "isa=avx2");
   }
 }
 

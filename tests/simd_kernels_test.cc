@@ -1,8 +1,8 @@
 // Bit-identical parity tests for the columnar SIMD kernels (DESIGN.md §12):
-// every kernel is run under forced scalar / SSE2 / AVX2 and the results are
+// every kernel is run under forced scalar and AVX2 and the results are
 // compared bitwise (not approximately) — the lane discipline makes the
-// stronger contract hold. Unsupported ISAs on the build host are skipped
-// individually, so this test is meaningful on any machine.
+// stronger contract hold. AVX2 is skipped on a host without it, so this
+// test is meaningful on any machine.
 
 #include "common/simd/simd.h"
 
@@ -33,7 +33,6 @@ bool SameBits(double a, double b) {
 
 std::vector<simd::Isa> SupportedIsas() {
   std::vector<simd::Isa> isas = {simd::Isa::kScalar};
-  if (simd::IsaSupported(simd::Isa::kSse2)) isas.push_back(simd::Isa::kSse2);
   if (simd::IsaSupported(simd::Isa::kAvx2)) isas.push_back(simd::Isa::kAvx2);
   return isas;
 }
@@ -325,12 +324,13 @@ TEST_F(SimdParityTest, UnalignedTailsStayBitIdentical) {
 
 TEST(SimdDispatchTest, IsaNamesRoundTrip) {
   using simd::Isa;
-  for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
     auto parsed = simd::ParseIsaName(simd::IsaName(isa));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, isa);
   }
   EXPECT_EQ(simd::ParseIsaName("AVX2"), Isa::kAvx2);  // case-insensitive
+  EXPECT_EQ(simd::ParseIsaName("sse2"), std::nullopt);  // no SSE2 tier
   EXPECT_EQ(simd::ParseIsaName("neon"), std::nullopt);
   EXPECT_EQ(simd::ParseIsaName(""), std::nullopt);
 }
@@ -345,25 +345,20 @@ TEST(SimdDispatchTest, ScalarAlwaysSupported) {
 TEST(SimdDispatchTest, BestSupportedIsaIsSupportedAndOrdered) {
   simd::Isa best = simd::BestSupportedIsa();
   EXPECT_TRUE(simd::IsaSupported(best));
-  if (simd::IsaSupported(simd::Isa::kAvx2)) {
-    EXPECT_EQ(best, simd::Isa::kAvx2);
-  } else if (simd::IsaSupported(simd::Isa::kSse2)) {
-    EXPECT_EQ(best, simd::Isa::kSse2);
-  }
+  EXPECT_EQ(best, simd::IsaSupported(simd::Isa::kAvx2) ? simd::Isa::kAvx2
+                                                       : simd::Isa::kScalar);
 }
 
 TEST(SimdDispatchTest, UnsupportedOverrideRefusedWithoutChange) {
   simd::Isa before = simd::ActiveIsa();
-  // At least one of these is supported everywhere; probe a fake stress by
-  // checking the contract on whichever tier is missing, if any.
-  for (simd::Isa isa : {simd::Isa::kSse2, simd::Isa::kAvx2}) {
-    if (simd::IsaSupported(isa)) continue;
-    EXPECT_FALSE(simd::SetActiveIsa(isa));
-    EXPECT_EQ(simd::ActiveIsa(), before);
-    simd::ScopedIsaOverride guard(isa);
-    EXPECT_FALSE(guard.ok());
-    EXPECT_EQ(simd::ActiveIsa(), before);
-  }
+  // Scalar is supported everywhere; the contract is checked on AVX2 only
+  // on a host that lacks it.
+  if (simd::IsaSupported(simd::Isa::kAvx2)) return;
+  EXPECT_FALSE(simd::SetActiveIsa(simd::Isa::kAvx2));
+  EXPECT_EQ(simd::ActiveIsa(), before);
+  simd::ScopedIsaOverride guard(simd::Isa::kAvx2);
+  EXPECT_FALSE(guard.ok());
+  EXPECT_EQ(simd::ActiveIsa(), before);
 }
 
 }  // namespace

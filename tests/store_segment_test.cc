@@ -144,26 +144,22 @@ TEST(SegmentCodecTest, CompressesSimulatorTelemetryBelowRawCsv) {
   ExpectBitIdentical(d, *back);
 }
 
-TEST(SegmentCodecTest, ReadSegmentMetaMatchesWithoutFullDecode) {
-  Dataset d = RandomDataset(7, 100);
-  std::string blob = EncodeSegment(d);
-  auto meta = ReadSegmentMeta(blob);
-  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
-  EXPECT_TRUE(meta->schema == d.schema());
-  EXPECT_EQ(meta->rows, 100u);
-  EXPECT_TRUE(BitEqual(meta->min_ts, d.timestamp(0)));
-  EXPECT_TRUE(BitEqual(meta->max_ts, d.timestamp(99)));
-}
-
 TEST(SegmentCodecTest, RejectsBadMagicAndVersion) {
   Dataset d = RandomDataset(3, 10);
   std::string blob = EncodeSegment(d);
   std::string bad = blob;
   bad[0] = 'X';
-  EXPECT_FALSE(DecodeSegment(bad).ok());
-  bad = blob;
-  bad[4] ^= 0xFF;  // version word
-  EXPECT_FALSE(DecodeSegment(bad).ok());
+  EXPECT_EQ(DecodeSegment(bad).status().code(),
+            common::StatusCode::kParseError);
+  // An intact header naming another format version is not corruption.
+  for (char version : {1, 3}) {
+    bad = blob;
+    bad[4] = version;  // little-endian version word
+    EXPECT_EQ(DecodeSegment(bad).status().code(),
+              common::StatusCode::kFailedPrecondition);
+    EXPECT_EQ(ReadSegmentZoneMap(bad).status().code(),
+              common::StatusCode::kFailedPrecondition);
+  }
 }
 
 // --- Robustness: no input may crash the decoder -----------------------
@@ -211,7 +207,7 @@ TEST(SegmentCodecTest, RandomGarbageFailsCleanly) {
       garbage[1] = 'B';
       garbage[2] = 'S';
       garbage[3] = 'G';
-      garbage[4] = 1;
+      garbage[4] = 2;
       garbage[5] = garbage[6] = garbage[7] = 0;
     }
     EXPECT_FALSE(DecodeSegment(garbage).ok());
@@ -220,21 +216,26 @@ TEST(SegmentCodecTest, RandomGarbageFailsCleanly) {
 
 // --- Zone-map footer (DESIGN.md §14) -----------------------------------
 
-/// Downgrades a v2 blob to the v1 format: strip the zone footer (framed
-/// block + 8-byte trailer) and patch the header version word to 1. This
-/// reconstructs byte-for-byte what the pre-footer encoder produced.
-std::string MakeV1(const std::string& v2) {
-  EXPECT_GE(v2.size(), 8u);
-  uint32_t zone_len = 0;
+uint32_t ReadU32(const std::string& bytes, size_t at) {
+  uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
-    zone_len |= static_cast<uint32_t>(
-                    static_cast<uint8_t>(v2[v2.size() - 8 + i]))
-                << (8 * i);
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[at + i]))
+         << (8 * i);
   }
-  EXPECT_LT(zone_len + 8u, v2.size());
-  std::string v1 = v2.substr(0, v2.size() - 8 - zone_len);
-  v1[4] = 1;  // little-endian version word: 2 -> 1
-  return v1;
+  return v;
+}
+
+/// Length of the zone footer (framed block + 8-byte trailer) that ends
+/// `blob`; cutting it off leaves a body whose header still says version 2.
+size_t FooterSize(const std::string& blob) {
+  EXPECT_GE(blob.size(), 16u);
+  size_t footer = 8 + ReadU32(blob, blob.size() - 8);
+  EXPECT_LT(footer, blob.size());
+  return footer;
+}
+
+std::string StripFooter(const std::string& blob) {
+  return blob.substr(0, blob.size() - FooterSize(blob));
 }
 
 TEST(SegmentCodecTest, ZoneFooterRoundTripsComputeZoneMap) {
@@ -254,32 +255,39 @@ TEST(SegmentCodecTest, ZoneFooterRoundTripsComputeZoneMap) {
   }
 }
 
-TEST(SegmentCodecTest, V1BlobStillDecodesButHasNoZoneMap) {
-  Dataset d = RandomDataset(19, 64);
-  std::string v1 = MakeV1(EncodeSegment(d));
-  auto back = DecodeSegment(v1);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectBitIdentical(d, *back);
-  auto meta = ReadSegmentMeta(v1);
-  ASSERT_TRUE(meta.ok());
-  EXPECT_EQ(meta->version, 1u);
-  auto zones = ReadSegmentZoneMap(v1);
-  ASSERT_FALSE(zones.ok());
-  EXPECT_EQ(zones.status().code(), common::StatusCode::kNotFound);
-}
-
 TEST(SegmentCodecTest, V2WithoutItsFooterIsCorrupt) {
   Dataset d = RandomDataset(23, 64);
   std::string blob = EncodeSegment(d);
-  // Chop the footer but keep the version word at 2: the blob claims a
-  // footer it does not have.
-  std::string torn = MakeV1(blob);
-  torn[4] = 2;
-  EXPECT_FALSE(DecodeSegment(torn).ok());
+  // Chop the footer: the blob claims a footer it does not have.
+  std::string torn = StripFooter(blob);
+  EXPECT_EQ(DecodeSegment(torn).status().code(),
+            common::StatusCode::kParseError);
   EXPECT_FALSE(ReadSegmentZoneMap(torn).ok());
-  // A v1 blob with trailing junk is equally corrupt.
-  std::string junk = MakeV1(blob) + "xx";
-  EXPECT_FALSE(DecodeSegment(junk).ok());
+  // Junk in the footer's place is equally corrupt.
+  EXPECT_EQ(DecodeSegment(torn + "xx").status().code(),
+            common::StatusCode::kParseError);
+}
+
+TEST(SegmentCodecTest, FooterAttributeCountMustMatchTheMetaBlock) {
+  // The same rows with 3, 2 and 0 attributes. A footer is self-framed
+  // (CRC and trailer), so one spliced onto another's body stays valid.
+  std::string three = EncodeSegment(RandomDataset(31, 64));
+  const size_t first_two[] = {0, 1};
+  auto two = DecodeSegment(three, first_two);
+  auto none = DecodeSegment(three, std::span<const size_t>());
+  ASSERT_TRUE(two.ok() && none.ok());
+  const std::string blobs[] = {three, EncodeSegment(*two),
+                               EncodeSegment(*none)};
+  for (const std::string& body : blobs) {
+    for (const std::string& tail : blobs) {
+      if (&body == &tail) continue;
+      std::string spliced =
+          StripFooter(body) + tail.substr(tail.size() - FooterSize(tail));
+      ASSERT_TRUE(ReadSegmentZoneMap(spliced).ok());
+      EXPECT_EQ(DecodeSegment(spliced).status().code(),
+                common::StatusCode::kParseError);
+    }
+  }
 }
 
 TEST(SegmentCodecTest, ZoneMapHandlesNaNAndInfColumns) {
@@ -453,17 +461,9 @@ TEST(SegmentCodecTest, ByteMutationUnderProjectionFailsOrMatches) {
 /// column i) and its length, found by walking the framing.
 std::pair<size_t, size_t> BlockPayload(const std::string& blob,
                                        size_t index) {
-  auto u32 = [&](size_t at) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(blob[at + i]))
-           << (8 * i);
-    }
-    return v;
-  };
   size_t at = 8;  // magic + version
-  for (size_t b = 0; b < index; ++b) at += 8 + u32(at);
-  return {at + 8, u32(at)};
+  for (size_t b = 0; b < index; ++b) at += 8 + ReadU32(blob, at);
+  return {at + 8, ReadU32(blob, at)};
 }
 
 TEST(SegmentCodecTest, SkippedBlocksAreStillChecksummed) {

@@ -379,22 +379,6 @@ void WriteFileOrDie(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Downgrades a v2 segment blob to v1: strip the zone footer (framed
-/// block + 8-byte trailer) and patch the version word — byte-for-byte
-/// what the pre-footer encoder wrote.
-std::string MakeV1(const std::string& v2) {
-  EXPECT_GE(v2.size(), 8u);
-  uint32_t zone_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    zone_len |= static_cast<uint32_t>(
-                    static_cast<uint8_t>(v2[v2.size() - 8 + i]))
-                << (8 * i);
-  }
-  std::string v1 = v2.substr(0, v2.size() - 8 - zone_len);
-  v1[4] = 1;
-  return v1;
-}
-
 TEST(TenantStoreTest, ManifestCarriesZoneMaps) {
   auto store = MustOpen(SmallOptions(StoreDir("zones")));
   Fill(store.get(), 0, 10);
@@ -486,43 +470,31 @@ TEST(TenantStoreTest, MaxRowsCapsOutputAndTruncatedIsExact) {
   EXPECT_TRUE(stats.truncated);
 }
 
-TEST(TenantStoreTest, V1SegmentsAreUpgradedInPlaceDuringRecovery) {
-  std::string dir = StoreDir("upgrade");
-  std::vector<std::string> paths;
-  {
-    auto store = MustOpen(SmallOptions(dir));
-    Fill(store.get(), 0, 30);
-    for (const auto& seg : store->Manifest()) paths.push_back(seg.path);
+TEST(TenantStoreTest, UnknownSegmentVersionFailsOpenAndKeepsTheFile) {
+  for (uint8_t version : {1, 3}) {
+    std::string dir = StoreDir("version" + std::to_string(version));
+    std::string oldest;
+    {
+      auto store = MustOpen(SmallOptions(dir));
+      Fill(store.get(), 0, 30);  // 3 sealed segments
+      oldest = store->Manifest().front().path;
+    }
+    std::string bytes = ReadFileOrDie(oldest);
+    bytes[4] = static_cast<char>(version);  // little-endian version word
+    WriteFileOrDie(oldest, bytes);
+    // Not a torn tail: Open refuses, names the file and the version, and
+    // neither deletes nor rewrites it.
+    auto store = TenantStore::Open(SmallOptions(dir));
+    ASSERT_FALSE(store.ok()) << "version " << int{version};
+    EXPECT_EQ(store.status().code(), common::StatusCode::kFailedPrecondition);
+    EXPECT_NE(store.status().message().find(oldest), std::string::npos)
+        << store.status().ToString();
+    EXPECT_NE(store.status().message().find("version " +
+                                            std::to_string(version)),
+              std::string::npos)
+        << store.status().ToString();
+    EXPECT_EQ(ReadFileOrDie(oldest), bytes);
   }
-  ASSERT_EQ(paths.size(), 3u);
-  // Downgrade two of the three files to the footer-less v1 format.
-  for (size_t i = 0; i < 2; ++i) {
-    std::string v1 = MakeV1(ReadFileOrDie(paths[i]));
-    WriteFileOrDie(paths[i], v1);
-    EXPECT_EQ(ReadSegmentZoneMap(v1).status().code(),
-              common::StatusCode::kNotFound);
-  }
-  auto store = MustOpen(SmallOptions(dir));
-  EXPECT_EQ(store->recovery().segments_recovered, 3u);
-  EXPECT_EQ(store->recovery().segments_upgraded, 2u);
-  // The files on disk now carry a readable footer...
-  for (const std::string& path : paths) {
-    EXPECT_TRUE(ReadSegmentZoneMap(ReadFileOrDie(path)).ok()) << path;
-  }
-  // ...no row was lost, and the rebuilt zones drive pruning correctly.
-  auto all = store->ScanTail(1000);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->num_rows(), 30u);
-  ScanOptions opts;
-  opts.bounds.push_back({"cpu", 0.0, 5.0});
-  ScanStats stats;
-  auto pruned = store->ScanWithOptions(opts, &stats);
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_EQ(pruned->num_rows(), 6u);
-  EXPECT_EQ(stats.segments_skipped_zone, 2u);
-  // The upgrade happened exactly once: a reopen finds nothing to do.
-  auto again = MustOpen(SmallOptions(dir));
-  EXPECT_EQ(again->recovery().segments_upgraded, 0u);
 }
 
 TEST(TenantStoreTest, ZeroRowSegmentFilesAreDroppedAtRecovery) {

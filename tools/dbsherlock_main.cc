@@ -25,10 +25,10 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/trace.h"
@@ -47,73 +47,8 @@
 namespace {
 
 using namespace dbsherlock;
-
-/// Minimal --flag value argument map.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      std::string name = arg.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[name] = argv[++i];
-      } else {
-        values_[name] = "true";
-      }
-    }
-  }
-
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  double GetDouble(const std::string& name, double fallback) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    auto parsed = common::ParseDouble(it->second);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "--%s: %s\n", name.c_str(),
-                   parsed.status().ToString().c_str());
-      std::exit(2);
-    }
-    return *parsed;
-  }
-
-  bool Has(const std::string& name) const { return values_.contains(name); }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-/// Exit code for a failed Status: one distinct code per StatusCode so
-/// scripts can branch on the failure class without parsing stderr.
-/// (0 = success, 1 = generic failure, 2 = usage; documented in README.)
-int ExitCodeFor(const common::Status& status) {
-  switch (status.code()) {
-    case common::StatusCode::kOk: return 0;
-    case common::StatusCode::kInvalidArgument: return 3;
-    case common::StatusCode::kNotFound: return 4;
-    case common::StatusCode::kOutOfRange: return 5;
-    case common::StatusCode::kFailedPrecondition: return 6;
-    case common::StatusCode::kIoError: return 7;
-    case common::StatusCode::kParseError: return 8;
-    case common::StatusCode::kDeadlineExceeded: return 10;
-    case common::StatusCode::kResourceExhausted: return 11;
-    case common::StatusCode::kInternal: return 9;
-  }
-  return 1;
-}
-
-[[noreturn]] void Die(const common::Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  std::exit(ExitCodeFor(status));
-}
+using common::Args;
+using common::Die;
 
 /// Loads --data with the hostile-input flags shared by every data-reading
 /// subcommand: --allow-unsorted ingests out-of-order/duplicate timestamps
@@ -808,7 +743,7 @@ int EmitObservability(const Args& args, int command_rc) {
         WriteTextFile(args.Get("trace-out"), tracer.ExportChromeJson());
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      if (rc == 0) rc = ExitCodeFor(status);
+      if (rc == 0) rc = common::ExitCodeFor(status);
     } else {
       std::fprintf(stderr, "trace: %zu span(s) -> %s (%zu dropped)\n",
                    tracer.events_recorded() - tracer.events_dropped(),
@@ -822,7 +757,7 @@ int EmitObservability(const Args& args, int command_rc) {
                       common::MetricsRegistry::Global().SnapshotJson().Dump(2));
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      if (rc == 0) rc = ExitCodeFor(status);
+      if (rc == 0) rc = common::ExitCodeFor(status);
     } else {
       std::fprintf(stderr, "metrics: snapshot -> %s\n",
                    args.Get("metrics-out").c_str());

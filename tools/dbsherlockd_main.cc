@@ -15,10 +15,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
 
 #include "common/faultenv.h"
+#include "common/cli.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "fleet/model_sync.h"
@@ -30,70 +30,8 @@
 namespace {
 
 using namespace dbsherlock;
-
-/// Minimal --flag value argument map (same idiom as dbsherlock_main).
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      std::string name = arg.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[name] = argv[++i];
-      } else {
-        values_[name] = "true";
-      }
-    }
-  }
-
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  double GetDouble(const std::string& name, double fallback) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    auto parsed = common::ParseDouble(it->second);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "--%s: %s\n", name.c_str(),
-                   parsed.status().ToString().c_str());
-      std::exit(2);
-    }
-    return *parsed;
-  }
-
-  bool Has(const std::string& name) const { return values_.contains(name); }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-int ExitCodeFor(const common::Status& status) {
-  switch (status.code()) {
-    case common::StatusCode::kOk: return 0;
-    case common::StatusCode::kInvalidArgument: return 3;
-    case common::StatusCode::kNotFound: return 4;
-    case common::StatusCode::kOutOfRange: return 5;
-    case common::StatusCode::kFailedPrecondition: return 6;
-    case common::StatusCode::kIoError: return 7;
-    case common::StatusCode::kParseError: return 8;
-    case common::StatusCode::kDeadlineExceeded: return 10;
-    case common::StatusCode::kResourceExhausted: return 11;
-    case common::StatusCode::kInternal: return 9;
-  }
-  return 1;
-}
-
-[[noreturn]] void Die(const common::Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  std::exit(ExitCodeFor(status));
-}
+using common::Args;
+using common::Die;
 
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
