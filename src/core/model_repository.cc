@@ -41,7 +41,7 @@ const CausalModel* ModelRepository::Find(const std::string& cause) const {
 
 std::vector<RankedCause> ModelRepository::Rank(
     const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
-    const PredicateGenOptions& options, double min_confidence) const {
+    const PredicateGenOptions& options, double lambda) const {
   // One partition-space build per referenced attribute for the whole
   // ranking (historically one per model per predicate), then models score
   // in parallel against the read-only cache. The best-per-cause fold stays
@@ -72,7 +72,7 @@ std::vector<RankedCause> ModelRepository::Rank(
   }
   std::vector<RankedCause> ranked;
   for (const auto& [cause, entry] : best) {
-    if (entry.first > min_confidence) {
+    if (entry.first > lambda) {
       ranked.push_back({cause, entry.first, entry.second->suggested_action});
     }
   }

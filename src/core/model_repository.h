@@ -41,13 +41,13 @@ class ModelRepository {
 
   /// Computes every model's confidence for the given anomaly and returns
   /// causes in decreasing confidence order, keeping only those above
-  /// `min_confidence` (the paper's lambda, default 20%). When multiple
-  /// unmerged models share a cause, the cause's confidence is the maximum
-  /// over its models.
+  /// `lambda` (the paper's confidence bar, percent; Explainer::Options::
+  /// confidence_threshold, default 20). When multiple unmerged models
+  /// share a cause, the cause's confidence is the maximum over its models.
   std::vector<RankedCause> Rank(const tsdata::Dataset& dataset,
                                 const tsdata::LabeledRows& rows,
                                 const PredicateGenOptions& options,
-                                double min_confidence) const;
+                                double lambda) const;
 
  private:
   std::vector<CausalModel> models_;

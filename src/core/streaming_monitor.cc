@@ -13,9 +13,8 @@ namespace dbsherlock::core {
 namespace {
 
 /// Registry-backed monitor accounting: the process-wide totals exported by
-/// --metrics-out. The per-instance counters on the class remain the
-/// per-monitor view (tests and callers compare instances); these are the
-/// aggregate a serving stack scrapes.
+/// --metrics-out, each event counted once however many monitors run. The
+/// per-monitor view is the counts on the class.
 struct MonitorMetrics {
   common::Counter* rows_appended;
   common::Counter* rows_dropped_late;
@@ -39,34 +38,13 @@ struct MonitorMetrics {
   }
 };
 
-/// Increments an aggregate counter and, when present, its per-instance
-/// labeled mirror (two disjoint registry namespaces; see Options).
-void Bump(common::Counter* aggregate, common::Counter* instance) {
-  aggregate->Increment();
-  if (instance != nullptr) instance->Increment();
-}
-
 }  // namespace
 
 StreamingMonitor::StreamingMonitor(const tsdata::Schema& schema,
                                    Options options)
     : options_(std::move(options)),
       window_(schema),
-      explainer_(options_.explainer) {
-  if (!options_.metric_label.empty()) {
-    common::MetricsRegistry& reg = common::MetricsRegistry::Global();
-    const std::string prefix =
-        "streaming_monitor.instance." + options_.metric_label + ".";
-    instance_.rows_appended = reg.GetCounter(prefix + "rows_appended");
-    instance_.rows_dropped_late = reg.GetCounter(prefix + "rows_dropped_late");
-    instance_.rows_dropped_duplicate =
-        reg.GetCounter(prefix + "rows_dropped_duplicate");
-    instance_.rows_dropped_non_finite =
-        reg.GetCounter(prefix + "rows_dropped_non_finite");
-    instance_.detections_run = reg.GetCounter(prefix + "detections_run");
-    instance_.alerts_raised = reg.GetCounter(prefix + "alerts_raised");
-  }
-}
+      explainer_(options_.explainer) {}
 
 void StreamingMonitor::TrimWindow() {
   // Hysteresis: trimming copies the window, so let it overshoot by a chunk
@@ -119,8 +97,7 @@ std::optional<StreamingMonitor::Alert> StreamingMonitor::Append(
   // which corrupts the window ordering the detector depends on.
   if (!std::isfinite(timestamp)) {
     ++non_finite_rows_dropped_;
-    Bump(MonitorMetrics::Get().rows_dropped_non_finite,
-         instance_.rows_dropped_non_finite);
+    MonitorMetrics::Get().rows_dropped_non_finite->Increment();
     last_append_status_ = common::Status::InvalidArgument(
         "dropped row with non-finite timestamp");
     return std::nullopt;
@@ -129,8 +106,7 @@ std::optional<StreamingMonitor::Alert> StreamingMonitor::Append(
     double last = window_.timestamp(window_.num_rows() - 1);
     if (timestamp == last) {
       ++duplicate_rows_dropped_;
-      Bump(MonitorMetrics::Get().rows_dropped_duplicate,
-           instance_.rows_dropped_duplicate);
+      MonitorMetrics::Get().rows_dropped_duplicate->Increment();
       last_append_status_ = common::Status::InvalidArgument(
           common::StrFormat("dropped duplicate row at timestamp %g",
                             timestamp));
@@ -138,8 +114,7 @@ std::optional<StreamingMonitor::Alert> StreamingMonitor::Append(
     }
     if (timestamp < last) {
       ++late_rows_dropped_;
-      Bump(MonitorMetrics::Get().rows_dropped_late,
-           instance_.rows_dropped_late);
+      MonitorMetrics::Get().rows_dropped_late->Increment();
       last_append_status_ = common::Status::InvalidArgument(
           common::StrFormat("dropped late row: timestamp %g < newest %g",
                             timestamp, last));
@@ -150,7 +125,7 @@ std::optional<StreamingMonitor::Alert> StreamingMonitor::Append(
   if (!last_append_status_.ok()) return std::nullopt;
   ++rows_seen_;
   ++rows_since_detect_;
-  Bump(MonitorMetrics::Get().rows_appended, instance_.rows_appended);
+  MonitorMetrics::Get().rows_appended->Increment();
   TrimWindow();
 
   if (rows_seen_ < options_.warmup_rows ||
@@ -160,8 +135,10 @@ std::optional<StreamingMonitor::Alert> StreamingMonitor::Append(
   rows_since_detect_ = 0;
 
   TRACE_SPAN("streaming_monitor.detect_and_diagnose");
-  Bump(MonitorMetrics::Get().detections_run, instance_.detections_run);
-  DetectionResult detection = DetectAnomalies(window_, options_.detector);
+  MonitorMetrics::Get().detections_run->Increment();
+  const AnomalyDetectorOptions& detector =
+      options_.explainer.detector_options;
+  DetectionResult detection = DetectAnomalies(window_, detector);
   if (detection.abnormal.empty()) return std::nullopt;
 
   // Report only regions not already alerted on; among the new ones, take
@@ -182,11 +159,11 @@ std::optional<StreamingMonitor::Alert> StreamingMonitor::Append(
     narrowed.abnormal = tsdata::RegionSpec({*fresh});
     alert.explanation = explainer_.Diagnose(
         window_,
-        DetectionToRegions(narrowed, window_, options_.detector));
+        DetectionToRegions(narrowed, window_, detector));
   }
   alerted_until_ = fresh->end;
-  alerts_.push_back(alert);
-  Bump(MonitorMetrics::Get().alerts_raised, instance_.alerts_raised);
+  ++alerts_raised_;
+  MonitorMetrics::Get().alerts_raised->Increment();
   return alert;
 }
 

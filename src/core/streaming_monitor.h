@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/status.h"
 #include "core/anomaly_detector.h"
 #include "core/explainer.h"
@@ -31,9 +30,9 @@ class StreamingMonitor {
     size_t detect_every = 15;
     /// Minimum rows before the first detection.
     size_t warmup_rows = 120;
-    AnomalyDetectorOptions detector;
     /// Diagnosis configuration for alerts (causal models may be preloaded
-    /// into the monitor's explainer).
+    /// into the monitor's explainer). Its `detector_options` drive both
+    /// alert detection and the region refinement of inline diagnoses.
     Explainer::Options explainer;
     /// When false, Append stops after detection: the alert still carries
     /// the region (and raised_at) but its explanation stays empty, for
@@ -41,14 +40,6 @@ class StreamingMonitor {
     /// the service's background diagnosis loop snapshots the window and
     /// diagnoses there instead of blocking the ingest thread.
     bool diagnose_inline = true;
-    /// Optional per-instance metrics label. The process-wide
-    /// `streaming_monitor.*` counters are always the sum over every
-    /// monitor in the process (sum-safe: each event is counted exactly
-    /// once there). When `metric_label` is non-empty, the same events are
-    /// additionally mirrored into `streaming_monitor.instance.<label>.*`,
-    /// a disjoint namespace, so multi-tenant deployments can tell
-    /// instances apart without double-counting the aggregate.
-    std::string metric_label;
   };
 
   /// One emitted alert: the detected region (in stream timestamps) and the
@@ -96,13 +87,16 @@ class StreamingMonitor {
   const tsdata::Dataset& window() const { return window_; }
   /// Total rows ever appended.
   size_t rows_seen() const { return rows_seen_; }
-  /// All alerts raised so far (most recent last).
-  const std::vector<Alert>& alerts() const { return alerts_; }
+  /// Alerts raised so far.
+  size_t alerts_raised() const { return alerts_raised_; }
 
   /// Dropped-row accounting (see Append's hostile-stream contract). These
   /// are the per-instance counts; the same events also increment the
   /// process-wide `streaming_monitor.*` counters in
-  /// `common::MetricsRegistry`, which is what --metrics-out exports.
+  /// `common::MetricsRegistry`, which is what --metrics-out exports. The
+  /// registry holds only those aggregates: a multi-tenant embedder that
+  /// wants per-instance numbers copies these accessors (the service's
+  /// STATS does, per tenant).
   size_t late_rows_dropped() const { return late_rows_dropped_; }
   size_t duplicate_rows_dropped() const { return duplicate_rows_dropped_; }
   size_t non_finite_rows_dropped() const { return non_finite_rows_dropped_; }
@@ -116,19 +110,7 @@ class StreamingMonitor {
   /// Drops rows older than the window and re-bases storage.
   void TrimWindow();
 
-  /// The per-instance labeled mirrors (all nullptr when Options::
-  /// metric_label is empty). Aggregate counters live in the .cc.
-  struct InstanceCounters {
-    common::Counter* rows_appended = nullptr;
-    common::Counter* rows_dropped_late = nullptr;
-    common::Counter* rows_dropped_duplicate = nullptr;
-    common::Counter* rows_dropped_non_finite = nullptr;
-    common::Counter* detections_run = nullptr;
-    common::Counter* alerts_raised = nullptr;
-  };
-
   Options options_;
-  InstanceCounters instance_;
   tsdata::Dataset window_;
   Explainer explainer_;
   size_t rows_seen_ = 0;
@@ -136,8 +118,8 @@ class StreamingMonitor {
   size_t late_rows_dropped_ = 0;
   size_t duplicate_rows_dropped_ = 0;
   size_t non_finite_rows_dropped_ = 0;
+  size_t alerts_raised_ = 0;
   common::Status last_append_status_ = common::Status::OK();
-  std::vector<Alert> alerts_;
   /// End timestamp of the most recently alerted region; regions starting
   /// before this are considered already reported.
   double alerted_until_ = -1e300;

@@ -39,6 +39,21 @@ Status EnsureDir(const std::string& path) {
 /// Timestamp identity that survives a CSV round-trip (micro-second grid).
 int64_t TsKey(double ts) { return std::llround(ts * 1e6); }
 
+/// Runs `call` (a Status or Result over `client`) up to kWireRetries times,
+/// reconnecting and pausing after each failure: under an aggressive fault
+/// schedule any request may eat an injected reset. Returns the last
+/// outcome.
+template <typename Call>
+auto RetryOnWire(service::Client& client, Call call) -> decltype(call()) {
+  auto outcome = call();
+  for (int attempt = 1; attempt < kWireRetries && !outcome.ok(); ++attempt) {
+    (void)client.Reconnect();
+    std::this_thread::sleep_for(kWireRetryPause);
+    outcome = call();
+  }
+  return outcome;
+}
+
 }  // namespace
 
 DaemonProcess::~DaemonProcess() {
@@ -239,14 +254,8 @@ Result<ChaosResult> RunChaosEpisode(const ChaosOptions& options) {
         service::Client::Connect("127.0.0.1", daemon.port(), copts);
     if (!teacher.ok()) return teacher.status();
     for (const core::CausalModel& model : taught) {
-      Status status;
-      for (int attempt = 0; attempt < kWireRetries; ++attempt) {
-        status = (*teacher)->Teach(model);
-        if (status.ok()) break;
-        (void)(*teacher)->Reconnect();
-        std::this_thread::sleep_for(kWireRetryPause);
-      }
-      if (!status.ok()) return status;
+      DBSHERLOCK_RETURN_NOT_OK(RetryOnWire(
+          **teacher, [&] { return (*teacher)->Teach(model); }));
       ++result.models_taught;
     }
     (void)(*teacher)->Quit();
@@ -377,25 +386,15 @@ Result<ChaosResult> RunChaosEpisode(const ChaosOptions& options) {
 
     // Flush pushes every acked row out of the ingest queue into the
     // history store so the exactly-once scan below sees all of them.
-    Status flushed;
-    for (int attempt = 0; attempt < kWireRetries; ++attempt) {
-      flushed = state.client->Flush(name);
-      if (flushed.ok()) break;
-      (void)state.client->Reconnect();
-      std::this_thread::sleep_for(kWireRetryPause);
-    }
+    service::Client& client = *state.client;
+    Status flushed = RetryOnWire(client, [&] { return client.Flush(name); });
     if (!flushed.ok()) {
       note("flush failed for " + name + ": " + flushed.ToString());
       continue;
     }
 
-    Result<common::JsonValue> rows = Status::Internal("query not attempted");
-    for (int attempt = 0; attempt < kWireRetries; ++attempt) {
-      rows = state.client->Query(name, -1e18, 1e18);
-      if (rows.ok()) break;
-      (void)state.client->Reconnect();
-      std::this_thread::sleep_for(kWireRetryPause);
-    }
+    auto rows =
+        RetryOnWire(client, [&] { return client.Query(name, -1e18, 1e18); });
     if (!rows.ok()) {
       note("query failed for " + name + ": " + rows.status().ToString());
       continue;
@@ -450,15 +449,9 @@ Result<ChaosResult> RunChaosEpisode(const ChaosOptions& options) {
         !state.plan->data.regions.abnormal.ranges().empty()) {
       const tsdata::TimeRange& truth =
           state.plan->data.regions.abnormal.ranges().front();
-      Result<common::JsonValue> diagnosis =
-          Status::Internal("diagnosis not attempted");
-      for (int attempt = 0; attempt < kWireRetries; ++attempt) {
-        diagnosis =
-            state.client->DiagnoseRange(name, truth.start, truth.end);
-        if (diagnosis.ok()) break;
-        (void)state.client->Reconnect();
-        std::this_thread::sleep_for(kWireRetryPause);
-      }
+      auto diagnosis = RetryOnWire(client, [&] {
+        return client.DiagnoseRange(name, truth.start, truth.end);
+      });
       if (!diagnosis.ok()) {
         note("diagnose_range failed for " + name + ": " +
              diagnosis.status().ToString());
@@ -485,13 +478,8 @@ Result<ChaosResult> RunChaosEpisode(const ChaosOptions& options) {
   {
     // The fault schedule outlives the stream, so even the verification
     // reads can eat an injected reset — retry them like every other call.
-    Result<common::JsonValue> models = Status::Internal("not attempted");
-    for (int attempt = 0; attempt < kWireRetries; ++attempt) {
-      models = states.front().client->Models();
-      if (models.ok()) break;
-      (void)states.front().client->Reconnect();
-      std::this_thread::sleep_for(kWireRetryPause);
-    }
+    service::Client& client = *states.front().client;
+    auto models = RetryOnWire(client, [&] { return client.Models(); });
     if (!models.ok()) {
       note("MODELS failed: " + models.status().ToString());
     } else {
@@ -515,13 +503,7 @@ Result<ChaosResult> RunChaosEpisode(const ChaosOptions& options) {
         }
       }
     }
-    Result<common::JsonValue> health = Status::Internal("not attempted");
-    for (int attempt = 0; attempt < kWireRetries; ++attempt) {
-      health = states.front().client->Health();
-      if (health.ok()) break;
-      (void)states.front().client->Reconnect();
-      std::this_thread::sleep_for(kWireRetryPause);
-    }
+    auto health = RetryOnWire(client, [&] { return client.Health(); });
     if (health.ok()) {
       auto health_state = health->GetString("state");
       if (health_state.ok()) result.health_state = *health_state;

@@ -8,7 +8,6 @@
 #include "common/json.h"
 #include "core/causal_model.h"
 #include "common/metrics.h"
-#include "common/strings.h"
 #include "core/model_io.h"
 #include "service/model_store.h"
 
@@ -32,17 +31,11 @@ Result<std::unique_ptr<ModelSyncPuller>> ModelSyncPuller::Start(
   auto puller =
       std::unique_ptr<ModelSyncPuller>(new ModelSyncPuller(std::move(options)));
   for (const std::string& address : puller->options_.peers) {
-    size_t colon = address.rfind(':');
-    auto port = colon == std::string::npos
-                    ? Result<int64_t>(Status::InvalidArgument("no port"))
-                    : common::ParseInt64(address.substr(colon + 1));
-    if (!port.ok() || *port <= 0 || *port > 65535) {
-      return Status::InvalidArgument("bad peer address '" + address +
-                                     "' (want host:port)");
-    }
+    auto endpoint = service::ParseHostPort(address);
+    if (!endpoint.ok()) return endpoint.status();
     Peer peer;
-    peer.host = address.substr(0, colon);
-    peer.port = static_cast<int>(*port);
+    peer.host = endpoint->host;
+    peer.port = endpoint->port;
     peer.stats.address = address;
     puller->peers_.push_back(std::move(peer));
   }

@@ -5,7 +5,6 @@
 
 #include "common/json.h"
 #include "common/metrics.h"
-#include "common/strings.h"
 #include "service/wire.h"
 
 namespace dbsherlock::fleet {
@@ -42,18 +41,12 @@ Result<std::unique_ptr<Router>> Router::Start(Options options) {
   auto router = std::unique_ptr<Router>(new Router(std::move(options)));
   auto& metrics = common::MetricsRegistry::Global();
   for (const std::string& address : router->options_.shards) {
-    size_t colon = address.rfind(':');
-    auto port = colon == std::string::npos
-                    ? Result<int64_t>(Status::InvalidArgument("no port"))
-                    : common::ParseInt64(address.substr(colon + 1));
-    if (!port.ok() || *port <= 0 || *port > 65535) {
-      return Status::InvalidArgument("bad shard address '" + address +
-                                     "' (want host:port)");
-    }
+    auto endpoint = service::ParseHostPort(address);
+    if (!endpoint.ok()) return endpoint.status();
     auto shard = std::make_unique<Shard>();
     shard->address = address;
-    shard->host = address.substr(0, colon);
-    shard->port = static_cast<int>(*port);
+    shard->host = endpoint->host;
+    shard->port = endpoint->port;
     shard->requests_metric =
         metrics.GetCounter("router.shard." + address + ".requests");
     shard->retries_metric =
@@ -252,9 +245,9 @@ std::string Router::HandleLine(const std::string& line, bool* quit) {
     }
     case RequestOp::kAppend: {
       size_t idx = AssignShard(request.tenant, /*is_hello=*/false);
-      // APPENDSEQ (and JSON append with "seq") is idempotent by
-      // construction; a plain APPEND that failed mid-call may or may not
-      // have landed, so it is not retried — the writer decides.
+      // APPENDSEQ is idempotent by construction; a plain APPEND that
+      // failed mid-call may or may not have landed, so it is not retried
+      // — the writer decides.
       return Proxy(idx, line, request.has_client_seq,
                    /*failover_tenant=*/"");
     }
@@ -268,6 +261,17 @@ std::string Router::HandleLine(const std::string& line, bool* quit) {
     }
   }
   return service::ErrLine(Status::Internal("unhandled request op"));
+}
+
+Result<common::JsonValue> Router::ShardJson(size_t idx,
+                                            const std::string& verb) {
+  std::string raw = Proxy(idx, verb, /*idempotent=*/true, "");
+  auto response = service::ParseResponseLine(raw);
+  if (response.ok() && response->kind == service::Response::Kind::kOk) {
+    auto json = common::ParseJson(response->detail);
+    if (json.ok()) return json;
+  }
+  return Status::IoError(raw);
 }
 
 std::string Router::MergedStats() {
@@ -288,17 +292,13 @@ std::string Router::MergedStats() {
     entry["down"] = IsDown(shard);
     per_shard[shard.address] = common::JsonValue(std::move(entry));
 
-    std::string raw = Proxy(i, "STATS", /*idempotent=*/true, "");
-    auto response = service::ParseResponseLine(raw);
-    if (response.ok() && response->kind == service::Response::Kind::kOk) {
-      auto json = common::ParseJson(response->detail);
-      if (json.ok()) {
-        upstream[shard.address] = std::move(*json);
-        continue;
-      }
+    auto json = ShardJson(i, "STATS");
+    if (json.ok()) {
+      upstream[shard.address] = std::move(*json);
+      continue;
     }
     common::JsonValue::Object error;
-    error["error"] = raw;
+    error["error"] = json.status().message();
     upstream[shard.address] = common::JsonValue(std::move(error));
   }
   router["per_shard"] = common::JsonValue(std::move(per_shard));
@@ -313,22 +313,17 @@ std::string Router::MergedHealth() {
   int worst = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
-    std::string raw = Proxy(i, "HEALTH", /*idempotent=*/true, "");
-    auto response = service::ParseResponseLine(raw);
-    if (response.ok() && response->kind == service::Response::Kind::kOk) {
-      auto json = common::ParseJson(response->detail);
-      if (json.ok()) {
-        auto state = json->GetString("state");
-        worst =
-            std::max(worst, HealthRank(state.ok() ? *state : "unknown"));
-        upstream[shard.address] = std::move(*json);
-        continue;
-      }
+    auto json = ShardJson(i, "HEALTH");
+    if (json.ok()) {
+      auto state = json->GetString("state");
+      worst = std::max(worst, HealthRank(state.ok() ? *state : "unknown"));
+      upstream[shard.address] = std::move(*json);
+      continue;
     }
     worst = std::max(worst, HealthRank("unreachable"));
     common::JsonValue::Object entry;
     entry["state"] = "unreachable";
-    entry["reason"] = raw;
+    entry["reason"] = json.status().message();
     upstream[shard.address] = common::JsonValue(std::move(entry));
   }
   common::JsonValue::Object out;
@@ -345,13 +340,7 @@ std::string Router::MergedModels() {
   std::vector<std::string> seen;
   size_t reporting = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    std::string raw = Proxy(i, "MODELS", /*idempotent=*/true, "");
-    auto response = service::ParseResponseLine(raw);
-    if (!response.ok() ||
-        response->kind != service::Response::Kind::kOk) {
-      continue;
-    }
-    auto json = common::ParseJson(response->detail);
+    auto json = ShardJson(i, "MODELS");
     if (!json.ok()) continue;
     ++reporting;
     const common::JsonValue* list = json->Find("models");

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -132,6 +133,11 @@ class Router {
   std::vector<bool> DownVector() const;
   double NextUniform();
 
+  /// Fan-out leg: sends `verb` to shard `idx` (idempotent) and parses the
+  /// OK payload as JSON; any other outcome fails with the raw response
+  /// line as the message.
+  common::Result<common::JsonValue> ShardJson(size_t idx,
+                                              const std::string& verb);
   std::string MergedStats();
   std::string MergedHealth();
   std::string MergedModels();

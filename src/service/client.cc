@@ -106,6 +106,18 @@ int BackoffSleepMs(const RetryPolicy& policy, int attempt,
   return std::max(1, static_cast<int>(grown * factor));
 }
 
+Result<HostPort> ParseHostPort(const std::string& address) {
+  size_t colon = address.rfind(':');
+  auto port = colon == std::string::npos
+                  ? Result<int64_t>(Status::InvalidArgument("no port"))
+                  : common::ParseInt64(address.substr(colon + 1));
+  if (!port.ok() || *port <= 0 || *port > 65535) {
+    return Status::InvalidArgument("bad address '" + address +
+                                   "' (want host:port)");
+  }
+  return HostPort{address.substr(0, colon), static_cast<int>(*port)};
+}
+
 Result<int> Client::OpenSocket(const std::string& host, int port,
                                const Options& options) {
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);

@@ -40,6 +40,15 @@ struct RetryPolicy {
 int BackoffSleepMs(const RetryPolicy& policy, int attempt,
                    int server_hint_ms, double uniform01);
 
+/// A "host:port" address split for Client::Connect.
+struct HostPort {
+  std::string host;
+  int port = 0;
+};
+
+/// Parses "host:port" (port 1..65535); InvalidArgument otherwise.
+common::Result<HostPort> ParseHostPort(const std::string& address);
+
 /// A blocking dbsherlockd client: one TCP connection, one request line per
 /// Call, one response line back. Used by the `dbsherlock client`
 /// subcommand, the replay benchmark, and the e2e tests. Not thread-safe;

@@ -344,9 +344,9 @@ Status DurableModelStore::Compact() {
 
 std::vector<core::RankedCause> DurableModelStore::Rank(
     const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
-    const core::PredicateGenOptions& options, double min_confidence) const {
+    const core::PredicateGenOptions& options, double lambda) const {
   std::shared_lock lock(mu_);
-  return repo_.Rank(dataset, rows, options, min_confidence);
+  return repo_.Rank(dataset, rows, options, lambda);
 }
 
 core::ModelRepository DurableModelStore::SnapshotRepository() const {

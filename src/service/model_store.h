@@ -82,7 +82,7 @@ class DurableModelStore {
   /// see ModelRepository::Rank).
   std::vector<core::RankedCause> Rank(
       const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
-      const core::PredicateGenOptions& options, double min_confidence) const;
+      const core::PredicateGenOptions& options, double lambda) const;
 
   /// Copy of the current repository (MODELS responses, tests).
   core::ModelRepository SnapshotRepository() const;

@@ -242,29 +242,25 @@ std::string HandleLine(Service& service, const std::string& line,
       return OkLine(detail);
     }
     case RequestOp::kAppend: {
+      // CSV cells are typed against the tenant's schema here (the wire
+      // layer is schema-blind).
+      auto tenant = service.tenants().Find(request.tenant);
+      if (!tenant.ok()) return ErrLine(tenant.status());
+      const tsdata::Schema& schema = (*tenant)->schema;
+      if (request.raw_cells.size() != schema.num_attributes()) {
+        return ErrLine(Status::InvalidArgument(common::StrFormat(
+            "row has %zu cells, schema has %zu attributes",
+            request.raw_cells.size(), schema.num_attributes())));
+      }
       std::vector<tsdata::Cell> cells;
-      if (request.cells_typed) {
-        cells = std::move(request.cells);
-      } else {
-        // CSV cells are typed against the tenant's schema here (the wire
-        // layer is schema-blind).
-        auto tenant = service.tenants().Find(request.tenant);
-        if (!tenant.ok()) return ErrLine(tenant.status());
-        const tsdata::Schema& schema = (*tenant)->schema;
-        if (request.raw_cells.size() != schema.num_attributes()) {
-          return ErrLine(Status::InvalidArgument(common::StrFormat(
-              "row has %zu cells, schema has %zu attributes",
-              request.raw_cells.size(), schema.num_attributes())));
-        }
-        cells.reserve(request.raw_cells.size());
-        for (size_t i = 0; i < request.raw_cells.size(); ++i) {
-          if (schema.attribute(i).kind == tsdata::AttributeKind::kNumeric) {
-            auto value = common::ParseDouble(request.raw_cells[i]);
-            if (!value.ok()) return ErrLine(value.status());
-            cells.emplace_back(*value);
-          } else {
-            cells.emplace_back(request.raw_cells[i]);
-          }
+      cells.reserve(request.raw_cells.size());
+      for (size_t i = 0; i < request.raw_cells.size(); ++i) {
+        if (schema.attribute(i).kind == tsdata::AttributeKind::kNumeric) {
+          auto value = common::ParseDouble(request.raw_cells[i]);
+          if (!value.ok()) return ErrLine(value.status());
+          cells.emplace_back(*value);
+        } else {
+          cells.emplace_back(request.raw_cells[i]);
         }
       }
       std::optional<uint64_t> client_seq;

@@ -52,6 +52,59 @@ Status CheckCells(const tsdata::Schema& schema, double timestamp,
   return Status::OK();
 }
 
+/// Waits until `t`'s queue is drained and its diagnoses are done.
+void WaitIdle(Tenant& t) {
+  {
+    std::unique_lock lock(t.mu);
+    t.drained.wait(lock, [&] {
+      return t.queue.empty() && !t.scheduled && t.in_process == 0;
+    });
+  }
+  std::unique_lock lock(t.diag_mu);
+  t.diag_done.wait(lock, [&] {
+    return t.diag_pending == 0 && t.diag_in_flight == 0;
+  });
+}
+
+/// Diagnosis jobs run per tenant at a time. Overlap dedup usually keeps
+/// this moot; the cap stops one noisy tenant from taking the whole pool.
+constexpr size_t kPerTenantDiagnosisCap = 1;
+
+/// The region/causes/predicates core shared by DIAGNOSES entries and
+/// DIAGNOSE_RANGE responses.
+common::JsonValue::Object ExplanationJson(
+    const tsdata::TimeRange& region, const core::Explanation& explanation) {
+  common::JsonValue::Object out;
+  common::JsonValue::Object range;
+  range["start"] = region.start;
+  range["end"] = region.end;
+  out["region"] = common::JsonValue(std::move(range));
+  common::JsonValue::Array causes;
+  for (const core::RankedCause& c : explanation.causes) {
+    common::JsonValue::Object cause;
+    cause["cause"] = c.cause;
+    cause["confidence"] = c.confidence;
+    if (!c.suggested_action.empty()) cause["action"] = c.suggested_action;
+    causes.push_back(common::JsonValue(std::move(cause)));
+  }
+  out["causes"] = common::JsonValue(std::move(causes));
+  out["predicates"] = explanation.PredicatesToString();
+  return out;
+}
+
+/// Scan-side observability for QUERY/DIAGNOSE_RANGE responses: how much
+/// the zone maps pruned.
+common::JsonValue ScanStatsJson(const store::ScanStats& stats) {
+  common::JsonValue::Object scan;
+  scan["segments"] = static_cast<double>(stats.segments_total);
+  scan["segments_skipped_time"] =
+      static_cast<double>(stats.segments_skipped_time);
+  scan["segments_skipped_zone"] =
+      static_cast<double>(stats.segments_skipped_zone);
+  scan["segments_decoded"] = static_cast<double>(stats.segments_decoded);
+  return common::JsonValue(std::move(scan));
+}
+
 }  // namespace
 
 Service::Service(Options options)
@@ -62,16 +115,6 @@ Service::Service(Options options)
         return t;
       }()),
       explainer_(options_.explainer) {
-  auto& metrics = common::MetricsRegistry::Global();
-  metrics.GetCounter("service.rows_acked");
-  metrics.GetCounter("service.rows_shed");
-  metrics.GetCounter("service.alerts");
-  metrics.GetCounter("service.diagnoses");
-  metrics.GetCounter("service.diagnoses_deduped");
-  metrics.GetHistogram("service.append_us");
-  metrics.GetHistogram("service.diagnosis_us");
-  metrics.GetHistogram("service.diagnosis_queue_wait_us");
-
   size_t ingest = std::max<size_t>(1, options_.ingest_workers);
   size_t diag = std::max<size_t>(1, options_.diagnosis_workers);
   ingest_threads_.reserve(ingest);
@@ -100,8 +143,7 @@ Status Service::Hello(
 Result<Service::AppendOutcome> Service::Append(
     const std::string& tenant, double timestamp,
     std::vector<tsdata::Cell> cells, std::optional<uint64_t> client_seq) {
-  common::ScopedLatency timer(
-      common::MetricsRegistry::Global().GetHistogram("service.append_us"));
+  common::ScopedLatency timer(metrics_.append_us);
   if (!accepting_.load()) {
     return Status::FailedPrecondition("service is stopping");
   }
@@ -125,17 +167,13 @@ Result<Service::AppendOutcome> Service::Append(
       outcome.replayed = true;
       outcome.seq = t->acked;
       total_replayed_.fetch_add(1, std::memory_order_relaxed);
-      common::MetricsRegistry::Global()
-          .GetCounter("service.rows_replayed")
-          ->Increment();
+      metrics_.rows_replayed->Increment();
       return outcome;
     }
     if (t->queue.size() >= options_.queue_capacity) {
       ++t->shed;
       total_shed_.fetch_add(1, std::memory_order_relaxed);
-      common::MetricsRegistry::Global()
-          .GetCounter("service.rows_shed")
-          ->Increment();
+      metrics_.rows_shed->Increment();
       outcome.accepted = false;
       outcome.retry_after_ms = options_.retry_after_ms;
       return outcome;
@@ -144,9 +182,6 @@ Result<Service::AppendOutcome> Service::Append(
     outcome.accepted = true;
     outcome.seq = ++t->acked;
     if (client_seq.has_value()) t->last_client_seq = *client_seq;
-    common::MetricsRegistry::Global()
-        .GetGauge("service.queue_depth." + t->name)
-        ->Set(static_cast<double>(t->queue.size()));
     if (!t->scheduled) {
       // Whoever flips scheduled pushes to ready_ — the single-drainer
       // hand-off that keeps monitor access serialized.
@@ -155,9 +190,7 @@ Result<Service::AppendOutcome> Service::Append(
     }
   }
   total_acked_.fetch_add(1, std::memory_order_relaxed);
-  common::MetricsRegistry::Global()
-      .GetCounter("service.rows_acked")
-      ->Increment();
+  metrics_.rows_acked->Increment();
   if (must_schedule) {
     std::lock_guard lock(ready_mu_);
     ready_.push_back(std::move(t));
@@ -200,9 +233,7 @@ void Service::IngestWorker() {
 
 void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
   TRACE_SPAN("service.drain_tenant");
-  auto& metrics = common::MetricsRegistry::Global();
-  common::Gauge* depth =
-      metrics.GetGauge("service.queue_depth." + tenant->name);
+  core::StreamingMonitor& monitor = *tenant->monitor;
   for (;;) {
     std::vector<PendingRow> batch;
     {
@@ -219,7 +250,6 @@ void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
       tenant->queue.erase(tenant->queue.begin(),
                           tenant->queue.begin() + n);
       tenant->in_process += n;
-      depth->Set(static_cast<double>(tenant->queue.size()));
     }
     for (PendingRow& row : batch) {
       if (options_.process_delay_us > 0) {
@@ -229,16 +259,15 @@ void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
       // Safe without a lock: this worker holds the scheduled flag, so it
       // is the only thread touching the monitor.
       std::optional<core::StreamingMonitor::Alert> alert =
-          tenant->monitor->Append(row.timestamp, row.cells);
-      if (tenant->history != nullptr &&
-          tenant->monitor->last_append_status().ok()) {
+          monitor.Append(row.timestamp, row.cells);
+      if (tenant->history != nullptr && monitor.last_append_status().ok()) {
         // Tee monitor-accepted rows into the durable store; filtering on
         // the monitor's verdict keeps the store's strictly-increasing
         // timestamp invariant (late/duplicate rows were dropped above).
         Status persisted =
             tenant->history->Append(row.timestamp, row.cells);
         if (!persisted.ok()) {
-          metrics.GetCounter("service.history_append_errors")->Increment();
+          metrics_.history_append_errors->Increment();
           NoteDurabilityError(("history:" + tenant->name).c_str(),
                               persisted);
         } else {
@@ -247,14 +276,18 @@ void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
       }
       if (alert.has_value()) {
         total_alerts_.fetch_add(1, std::memory_order_relaxed);
-        metrics.GetCounter("service.alerts")->Increment();
-        EnqueueDiagnosis(tenant, *alert, tenant->monitor->window());
+        metrics_.alerts->Increment();
+        EnqueueDiagnosis(tenant, *alert, monitor.window());
       }
     }
     {
       std::lock_guard lock(tenant->mu);
       tenant->in_process -= batch.size();
       tenant->processed += batch.size();
+      tenant->late_dropped = monitor.late_rows_dropped();
+      tenant->duplicate_dropped = monitor.duplicate_rows_dropped();
+      tenant->non_finite_dropped = monitor.non_finite_rows_dropped();
+      tenant->alerts = monitor.alerts_raised();
       tenant->drained.notify_all();
     }
   }
@@ -270,9 +303,7 @@ void Service::EnqueueDiagnosis(const std::shared_ptr<Tenant>& tenant,
       // diagnosing the overlap again would only duplicate the report.
       ++tenant->diag_deduped;
       total_deduped_.fetch_add(1, std::memory_order_relaxed);
-      common::MetricsRegistry::Global()
-          .GetCounter("service.diagnoses_deduped")
-          ->Increment();
+      metrics_.diagnoses_deduped->Increment();
       return;
     }
     tenant->diag_covered_until =
@@ -300,8 +331,7 @@ void Service::DiagnosisWorker() {
     size_t pick = diag_queue_.size();
     for (size_t i = 0; i < diag_queue_.size(); ++i) {
       std::lock_guard tenant_lock(diag_queue_[i].tenant->diag_mu);
-      if (diag_queue_[i].tenant->diag_in_flight <
-          std::max<size_t>(1, options_.per_tenant_diagnosis_cap)) {
+      if (diag_queue_[i].tenant->diag_in_flight < kPerTenantDiagnosisCap) {
         pick = i;
         break;
       }
@@ -329,26 +359,18 @@ void Service::DiagnosisWorker() {
 
 void Service::RunDiagnosis(DiagnosisJob job) {
   TRACE_SPAN("service.diagnose");
-  auto& metrics = common::MetricsRegistry::Global();
-  metrics.GetHistogram("service.diagnosis_queue_wait_us")
-      ->Record(common::Tracer::NowMicros() - job.alert_us);
+  metrics_.diagnosis_queue_wait_us->Record(common::Tracer::NowMicros() -
+                                           job.alert_us);
 
   core::Explanation explanation;
   {
-    common::ScopedLatency timer(
-        metrics.GetHistogram("service.diagnosis_us"));
+    common::ScopedLatency timer(metrics_.diagnosis_us);
     core::DetectionResult detection;
     detection.abnormal = tsdata::RegionSpec({job.region});
-    tsdata::DiagnosisRegions regions = core::DetectionToRegions(
-        detection, job.window, options_.explainer.detector_options);
-    explanation = explainer_.Diagnose(job.window, regions);
-    if (options_.store != nullptr) {
-      tsdata::LabeledRows rows = tsdata::SplitRows(job.window, regions);
-      explanation.causes =
-          options_.store->Rank(job.window, rows,
-                               options_.explainer.predicate_options,
-                               options_.min_confidence);
-    }
+    explanation = Explain(
+        job.window,
+        core::DetectionToRegions(detection, job.window,
+                                 options_.explainer.detector_options));
   }
 
   TenantDiagnosis result;
@@ -363,7 +385,7 @@ void Service::RunDiagnosis(DiagnosisJob job) {
     job.tenant->diag_done.notify_all();
   }
   total_diagnoses_.fetch_add(1, std::memory_order_relaxed);
-  metrics.GetCounter("service.diagnoses")->Increment();
+  metrics_.diagnoses->Increment();
   {
     // Wake workers parked on a capped tenant.
     std::lock_guard lock(diag_queue_mu_);
@@ -374,31 +396,31 @@ void Service::RunDiagnosis(DiagnosisJob job) {
 Status Service::Flush(const std::string& tenant) {
   auto found = tenants_.Find(tenant);
   if (!found.ok()) return found.status();
-  std::shared_ptr<Tenant> t = std::move(*found);
-  {
-    std::unique_lock lock(t->mu);
-    t->drained.wait(lock, [&] {
-      return t->queue.empty() && !t->scheduled && t->in_process == 0;
-    });
-  }
-  {
-    std::unique_lock lock(t->diag_mu);
-    t->diag_done.wait(lock, [&] {
-      return t->diag_pending == 0 && t->diag_in_flight == 0;
-    });
-  }
+  WaitIdle(**found);
   return Status::OK();
 }
 
 Status Service::FlushAll() {
-  for (const std::string& name : tenants_.Names()) {
-    Status status = Flush(name);
-    // A tenant evicted between Names() and Flush() is already idle.
-    if (!status.ok() && status.code() != common::StatusCode::kNotFound) {
-      return status;
-    }
-  }
+  for (const std::shared_ptr<Tenant>& t : tenants_.Live()) WaitIdle(*t);
   return Status::OK();
+}
+
+std::vector<core::RankedCause> Service::RankCauses(
+    const tsdata::Dataset& window,
+    const tsdata::DiagnosisRegions& regions) const {
+  return options_.store->Rank(window, tsdata::SplitRows(window, regions),
+                              options_.explainer.predicate_options,
+                              options_.explainer.confidence_threshold);
+}
+
+core::Explanation Service::Explain(
+    const tsdata::Dataset& window,
+    const tsdata::DiagnosisRegions& regions) const {
+  core::Explanation explanation = explainer_.Diagnose(window, regions);
+  if (options_.store != nullptr) {
+    explanation.causes = RankCauses(window, regions);
+  }
+  return explanation;
 }
 
 Result<common::JsonValue> Service::DiagnosesJson(const std::string& tenant) {
@@ -408,58 +430,30 @@ Result<common::JsonValue> Service::DiagnosesJson(const std::string& tenant) {
   common::JsonValue::Array out;
   std::lock_guard lock(t->diag_mu);
   for (const TenantDiagnosis& d : t->diagnoses) {
-    common::JsonValue::Object entry;
-    common::JsonValue::Object region;
-    region["start"] = d.region.start;
-    region["end"] = d.region.end;
-    entry["region"] = common::JsonValue(std::move(region));
-    common::JsonValue::Array causes;
-    for (const core::RankedCause& c : d.explanation.causes) {
-      common::JsonValue::Object cause;
-      cause["cause"] = c.cause;
-      cause["confidence"] = c.confidence;
-      if (!c.suggested_action.empty()) {
-        cause["action"] = c.suggested_action;
-      }
-      causes.push_back(common::JsonValue(std::move(cause)));
-    }
-    entry["causes"] = common::JsonValue(std::move(causes));
-    entry["predicates"] = d.explanation.PredicatesToString();
+    common::JsonValue::Object entry = ExplanationJson(d.region, d.explanation);
     entry["latency_us"] = d.latency_us;
     out.push_back(common::JsonValue(std::move(entry)));
   }
   return common::JsonValue(std::move(out));
 }
 
-namespace {
-
-/// Scan-side observability for QUERY/DIAGNOSE_RANGE responses: how much
-/// the zone maps pruned.
-common::JsonValue ScanStatsJson(const store::ScanStats& stats) {
-  common::JsonValue::Object scan;
-  scan["segments"] = static_cast<double>(stats.segments_total);
-  scan["segments_skipped_time"] =
-      static_cast<double>(stats.segments_skipped_time);
-  scan["segments_skipped_zone"] =
-      static_cast<double>(stats.segments_skipped_zone);
-  scan["segments_decoded"] = static_cast<double>(stats.segments_decoded);
-  return common::JsonValue(std::move(scan));
+Result<std::shared_ptr<Tenant>> Service::FindWithHistory(
+    const std::string& tenant) {
+  auto found = tenants_.Find(tenant);
+  if (found.ok() && (*found)->history == nullptr) {
+    return Status::FailedPrecondition(
+        "history store not configured (start dbsherlockd with --store-dir)");
+  }
+  return found;
 }
-
-}  // namespace
 
 Result<common::JsonValue> Service::QueryJson(
     const std::string& tenant, double t0, double t1,
     const std::vector<store::AttributeBound>& bounds) {
-  auto& metrics = common::MetricsRegistry::Global();
-  metrics.GetCounter("service.queries")->Increment();
-  auto found = tenants_.Find(tenant);
+  metrics_.queries->Increment();
+  auto found = FindWithHistory(tenant);
   if (!found.ok()) return found.status();
   std::shared_ptr<Tenant> t = std::move(*found);
-  if (t->history == nullptr) {
-    return Status::FailedPrecondition(
-        "history store not configured (start dbsherlockd with --store-dir)");
-  }
   store::ScanOptions scan;
   scan.t0 = t0;
   scan.t1 = t1;
@@ -483,17 +477,11 @@ Result<common::JsonValue> Service::QueryJson(
 Result<common::JsonValue> Service::DiagnoseRangeJson(
     const std::string& tenant, double t0, double t1) {
   TRACE_SPAN("service.diagnose_range");
-  auto& metrics = common::MetricsRegistry::Global();
-  metrics.GetCounter("service.range_diagnoses")->Increment();
-  common::ScopedLatency timer(
-      metrics.GetHistogram("service.range_diagnosis_us"));
-  auto found = tenants_.Find(tenant);
+  metrics_.range_diagnoses->Increment();
+  common::ScopedLatency timer(metrics_.range_diagnosis_us);
+  auto found = FindWithHistory(tenant);
   if (!found.ok()) return found.status();
   std::shared_ptr<Tenant> t = std::move(*found);
-  if (t->history == nullptr) {
-    return Status::FailedPrecondition(
-        "history store not configured (start dbsherlockd with --store-dir)");
-  }
   // The user designated [t0, t1) as abnormal (the paper's workflow); pad
   // the scan with surrounding context so predicate separation has normal
   // rows to compare against. The window is stitched incrementally from
@@ -516,7 +504,7 @@ Result<common::JsonValue> Service::DiagnoseRangeJson(
   store::ScanStats stats;
   DBSHERLOCK_RETURN_NOT_OK(t->history->ScanVisit(scan, visitor, &stats));
   if (stats.truncated) {
-    metrics.GetCounter("service.range_diagnoses_capped")->Increment();
+    metrics_.range_diagnoses_capped->Increment();
     return Status::ResourceExhausted(common::StrFormat(
         "range window holds more than %zu stored rows "
         "(--max-range-rows); narrow [t0, t1) or raise the cap",
@@ -534,44 +522,21 @@ Result<common::JsonValue> Service::DiagnoseRangeJson(
         "range_context_factor");
   }
 
+  tsdata::TimeRange region{t0, t1};
   tsdata::DiagnosisRegions regions;
-  regions.abnormal = tsdata::RegionSpec({tsdata::TimeRange{t0, t1}});
-  core::Explanation explanation = explainer_.Diagnose(window, regions);
-  if (options_.store != nullptr) {
-    tsdata::LabeledRows rows = tsdata::SplitRows(window, regions);
-    explanation.causes =
-        options_.store->Rank(window, rows,
-                             options_.explainer.predicate_options,
-                             options_.min_confidence);
-  }
-
-  common::JsonValue::Object out;
-  common::JsonValue::Object region;
-  region["start"] = t0;
-  region["end"] = t1;
-  out["region"] = common::JsonValue(std::move(region));
+  regions.abnormal = tsdata::RegionSpec({region});
+  common::JsonValue::Object out =
+      ExplanationJson(region, Explain(window, regions));
   out["rows"] = static_cast<double>(window.num_rows());
   out["scan"] = ScanStatsJson(stats);
-  common::JsonValue::Array causes;
-  for (const core::RankedCause& c : explanation.causes) {
-    common::JsonValue::Object cause;
-    cause["cause"] = c.cause;
-    cause["confidence"] = c.confidence;
-    if (!c.suggested_action.empty()) cause["action"] = c.suggested_action;
-    causes.push_back(common::JsonValue(std::move(cause)));
-  }
-  out["causes"] = common::JsonValue(std::move(causes));
-  out["predicates"] = explanation.PredicatesToString();
   return common::JsonValue(std::move(out));
 }
 
 Result<common::JsonValue> Service::ExplainQueryJson(
     const std::string& tenant, const std::string& query_text) {
   TRACE_SPAN("service.explain_query");
-  auto& metrics = common::MetricsRegistry::Global();
-  metrics.GetCounter("service.explain_queries")->Increment();
-  common::ScopedLatency timer(
-      metrics.GetHistogram("service.explain_query_us"));
+  metrics_.explain_queries->Increment();
+  common::ScopedLatency timer(metrics_.explain_query_us);
   auto found = tenants_.Find(tenant);
   if (!found.ok()) return found.status();
   std::shared_ptr<Tenant> t = std::move(*found);
@@ -600,10 +565,7 @@ Result<common::JsonValue> Service::ExplainQueryJson(
     // own (empty) repository — same path as background diagnoses.
     exec_context.rank = [this](const tsdata::Dataset& window,
                                const tsdata::DiagnosisRegions& regions) {
-      tsdata::LabeledRows rows = tsdata::SplitRows(window, regions);
-      return options_.store->Rank(window, rows,
-                                  options_.explainer.predicate_options,
-                                  options_.min_confidence);
+      return RankCauses(window, regions);
     };
     exec_context.models = options_.store->num_models();
   }
@@ -634,12 +596,10 @@ void Service::NoteDurabilityError(const char* path,
   if (health_state_ != HealthState::kDegraded) {
     health_state_ = HealthState::kDegraded;
     ++degraded_entries_;
-    common::MetricsRegistry::Global()
-        .GetCounter("service.degraded_entries")
-        ->Increment();
+    metrics_.degraded_entries->Increment();
   }
   health_reason_ = std::string(path) + ": " + status.ToString();
-  common::MetricsRegistry::Global().GetGauge("service.degraded")->Set(1.0);
+  metrics_.degraded->Set(1.0);
 }
 
 void Service::NoteDurabilityOk() {
@@ -647,7 +607,7 @@ void Service::NoteDurabilityOk() {
   if (health_state_ != HealthState::kDegraded) return;
   health_state_ = HealthState::kOk;
   health_reason_.clear();
-  common::MetricsRegistry::Global().GetGauge("service.degraded")->Set(0.0);
+  metrics_.degraded->Set(0.0);
 }
 
 Service::HealthState Service::health() const {
@@ -695,12 +655,8 @@ common::JsonValue Service::StatsJson() const {
     faults["sites"] = common::faultenv::StatsJson();
     out["faultenv"] = common::JsonValue(std::move(faults));
   }
-  auto& tenants = const_cast<TenantManager&>(tenants_);
   common::JsonValue::Object per_tenant;
-  for (const std::string& name : tenants.Names()) {
-    auto found = tenants.Find(name);
-    if (!found.ok()) continue;
-    const std::shared_ptr<Tenant>& t = *found;
+  for (const std::shared_ptr<Tenant>& t : tenants_.Live()) {
     common::JsonValue::Object entry;
     {
       std::lock_guard lock(t->mu);
@@ -708,6 +664,12 @@ common::JsonValue Service::StatsJson() const {
       entry["processed"] = static_cast<double>(t->processed);
       entry["shed"] = static_cast<double>(t->shed);
       entry["queue_depth"] = static_cast<double>(t->queue.size());
+      entry["late_dropped"] = static_cast<double>(t->late_dropped);
+      entry["duplicate_dropped"] =
+          static_cast<double>(t->duplicate_dropped);
+      entry["non_finite_dropped"] =
+          static_cast<double>(t->non_finite_dropped);
+      entry["alerts"] = static_cast<double>(t->alerts);
     }
     {
       std::lock_guard lock(t->diag_mu);
@@ -735,10 +697,10 @@ common::JsonValue Service::StatsJson() const {
           static_cast<double>(t->history->scan_retries());
       entry["history"] = common::JsonValue(std::move(history));
     }
-    per_tenant[name] = common::JsonValue(std::move(entry));
+    per_tenant[t->name] = common::JsonValue(std::move(entry));
   }
   out["tenants"] = common::JsonValue(std::move(per_tenant));
-  out["evictions"] = static_cast<double>(tenants.evictions());
+  out["evictions"] = static_cast<double>(tenants_.evictions());
   if (options_.store != nullptr) {
     common::JsonValue::Object store;
     store["models"] = static_cast<double>(options_.store->num_models());
@@ -799,11 +761,8 @@ void Service::Stop() {
   for (std::thread& t : ingest_threads_) t.join();
   // Clean shutdown persists the active tail: only a hard kill can lose
   // unsealed rows.
-  for (const std::string& name : tenants_.Names()) {
-    auto found = tenants_.Find(name);
-    if (found.ok() && (*found)->history != nullptr) {
-      (void)(*found)->history->Seal();
-    }
+  for (const std::shared_ptr<Tenant>& t : tenants_.Live()) {
+    if (t->history != nullptr) (void)t->history->Seal();
   }
   {
     std::lock_guard lock(diag_queue_mu_);

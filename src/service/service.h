@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "core/explainer.h"
 #include "service/model_store.h"
@@ -32,7 +33,8 @@ namespace dbsherlock::service {
 /// worker), pushing rows through its StreamingMonitor. A detector alert
 /// snapshots the window and enqueues a diagnosis job; diagnosis workers
 /// run detector-region refinement + Explainer + durable-store ranking,
-/// deduplicating overlapping regions and capping per-tenant concurrency.
+/// deduplicating overlapping regions and running at most one job per
+/// tenant at a time.
 class Service {
  public:
   struct Options {
@@ -41,9 +43,6 @@ class Service {
     size_t ingest_workers = 2;
     /// Worker threads running diagnosis jobs.
     size_t diagnosis_workers = 2;
-    /// Max diagnosis jobs in flight per tenant (overlap dedup usually
-    /// keeps this moot; the cap bounds pathological alert storms).
-    size_t per_tenant_diagnosis_cap = 1;
     /// Bounded ingest queue per tenant; a full queue sheds with
     /// RETRY_AFTER instead of buffering unboundedly.
     size_t queue_capacity = 1024;
@@ -51,12 +50,13 @@ class Service {
     int retry_after_ms = 20;
     /// Rows a drain takes from the queue per monitor pass.
     size_t ingest_batch = 64;
-    /// Diagnosis configuration (predicate generation, domain knowledge,
-    /// detector shape for region refinement). Ranking uses the durable
-    /// store, not the explainer's own repository.
+    /// Diagnosis configuration, the one copy of each setting: its
+    /// `confidence_threshold` is the paper's lambda for every ranking
+    /// (background diagnoses, DIAGNOSE_RANGE, EXPLAINQ) and the DQL margin
+    /// floor; its `detector_options` drive alert detection, alert-region
+    /// refinement and EXPLAIN. Ranking uses the durable store, not the
+    /// explainer's own repository.
     core::Explainer::Options explainer;
-    /// The paper's lambda for ranked causes.
-    double min_confidence = 20.0;
     /// Shared durable model store. Required; not owned.
     DurableModelStore* store = nullptr;
     /// Row cap on one QUERY response (the wire is line-oriented; a huge
@@ -157,7 +157,11 @@ class Service {
   common::Result<common::JsonValue> ExplainQueryJson(
       const std::string& tenant, const std::string& query_text);
 
-  /// Service-wide counters (STATS verb).
+  /// Service-wide counters (STATS verb), with a per-tenant block: acked,
+  /// processed, shed, queue_depth, the monitor's late_dropped /
+  /// duplicate_dropped / non_finite_dropped / alerts, diagnoses and the
+  /// history store's counters. Reading STATS is not a tenant "use": it
+  /// leaves the eviction LRU order alone.
   common::JsonValue StatsJson() const;
 
   /// Degraded-mode report (HEALTH verb):
@@ -197,6 +201,38 @@ class Service {
     tsdata::Dataset window;     // snapshot taken by the drain worker
   };
 
+  /// Registry instruments, looked up once per Service so steady-state
+  /// updates never take the registry lock (common/metrics.h).
+  struct Instruments {
+    common::MetricsRegistry& r = common::MetricsRegistry::Global();
+    common::Counter* rows_acked = r.GetCounter("service.rows_acked");
+    common::Counter* rows_shed = r.GetCounter("service.rows_shed");
+    common::Counter* rows_replayed = r.GetCounter("service.rows_replayed");
+    common::Counter* alerts = r.GetCounter("service.alerts");
+    common::Counter* diagnoses = r.GetCounter("service.diagnoses");
+    common::Counter* diagnoses_deduped =
+        r.GetCounter("service.diagnoses_deduped");
+    common::Counter* history_append_errors =
+        r.GetCounter("service.history_append_errors");
+    common::Counter* queries = r.GetCounter("service.queries");
+    common::Counter* range_diagnoses = r.GetCounter("service.range_diagnoses");
+    common::Counter* range_diagnoses_capped =
+        r.GetCounter("service.range_diagnoses_capped");
+    common::Counter* explain_queries = r.GetCounter("service.explain_queries");
+    common::Counter* degraded_entries =
+        r.GetCounter("service.degraded_entries");
+    common::Gauge* degraded = r.GetGauge("service.degraded");
+    common::LatencyHistogram* append_us = r.GetHistogram("service.append_us");
+    common::LatencyHistogram* diagnosis_us =
+        r.GetHistogram("service.diagnosis_us");
+    common::LatencyHistogram* diagnosis_queue_wait_us =
+        r.GetHistogram("service.diagnosis_queue_wait_us");
+    common::LatencyHistogram* range_diagnosis_us =
+        r.GetHistogram("service.range_diagnosis_us");
+    common::LatencyHistogram* explain_query_us =
+        r.GetHistogram("service.explain_query_us");
+  };
+
   void IngestWorker();
   void DiagnosisWorker();
   /// Durability-path outcome hooks behind the health state machine: an
@@ -210,10 +246,23 @@ class Service {
                         const core::StreamingMonitor::Alert& alert,
                         const tsdata::Dataset& window);
   void RunDiagnosis(DiagnosisJob job);
+  /// The tenant (NotFound), refused with FailedPrecondition when the
+  /// service runs without a history store (QUERY, DIAGNOSE_RANGE).
+  common::Result<std::shared_ptr<Tenant>> FindWithHistory(
+      const std::string& tenant);
+  /// Ranks the durable store's causes for `regions` of `window` against
+  /// lambda (explainer.confidence_threshold). Requires a store.
+  std::vector<core::RankedCause> RankCauses(
+      const tsdata::Dataset& window,
+      const tsdata::DiagnosisRegions& regions) const;
+  /// Explainer predicates plus, when a store is configured, its ranking.
+  core::Explanation Explain(const tsdata::Dataset& window,
+                            const tsdata::DiagnosisRegions& regions) const;
 
   Options options_;
   TenantManager tenants_;
   core::Explainer explainer_;
+  const Instruments metrics_;
 
   std::atomic<bool> accepting_{true};
   std::atomic<bool> stopped_{false};

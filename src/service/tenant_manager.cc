@@ -45,10 +45,8 @@ Result<std::shared_ptr<Tenant>> TenantManager::Hello(
   tenant->schema = schema;
   core::StreamingMonitor::Options monitor_options = options_.monitor;
   // The service diagnoses on its own worker pool; the drain thread must
-  // never block on a full Diagnose. Metrics are labeled per tenant so
-  // multi-tenant counters stay attributable (and the aggregate sum-safe).
+  // never block on a full Diagnose.
   monitor_options.diagnose_inline = false;
-  monitor_options.metric_label = name;
   tenant->monitor =
       std::make_unique<core::StreamingMonitor>(schema, monitor_options);
   if (!options_.store.dir.empty()) {
@@ -95,12 +93,12 @@ Result<std::shared_ptr<Tenant>> TenantManager::Find(const std::string& name) {
   return it->second;
 }
 
-std::vector<std::string> TenantManager::Names() const {
+std::vector<std::shared_ptr<Tenant>> TenantManager::Live() const {
   std::lock_guard lock(map_mu_);
-  std::vector<std::string> names;
-  names.reserve(tenants_.size());
-  for (const auto& [name, tenant] : tenants_) names.push_back(name);
-  return names;
+  std::vector<std::shared_ptr<Tenant>> live;
+  live.reserve(tenants_.size());
+  for (const auto& [name, tenant] : tenants_) live.push_back(tenant);
+  return live;
 }
 
 size_t TenantManager::size() const {

@@ -36,8 +36,8 @@ struct TenantDiagnosis {
 /// Per-tenant pipeline state. Locking discipline (service-wide):
 ///
 ///   `mu` guards the ingest side: queue, scheduled, in_process, the acked /
-///   processed / shed counters, and `evicted`. `drained` signals queue
-///   transitions for Flush.
+///   processed / shed counters, the monitor counts, and `evicted`.
+///   `drained` signals queue transitions for Flush.
 ///
 ///   `monitor` is NOT guarded by a lock; it is owned by whichever worker
 ///   holds the `scheduled` flag (the single-drainer invariant: exactly one
@@ -66,6 +66,13 @@ struct Tenant {
   uint64_t acked = 0;       // rows accepted into the queue (wire-acked)
   uint64_t processed = 0;   // rows run through the monitor
   uint64_t shed = 0;        // rows refused with RETRY_AFTER
+  /// The monitor's drop and alert counts, copied by the drain worker at
+  /// each batch end so STATS can read them under `mu` while the monitor
+  /// itself stays single-drainer. They die with the tenant.
+  uint64_t late_dropped = 0;
+  uint64_t duplicate_dropped = 0;
+  uint64_t non_finite_dropped = 0;
+  uint64_t alerts = 0;
   /// Highest client idempotency seq applied (APPENDSEQ); 0 = none yet.
   /// Guarded by mu. Per server incarnation — not persisted: across a
   /// restart, duplicate replays are dropped by the store's
@@ -73,8 +80,8 @@ struct Tenant {
   uint64_t last_client_seq = 0;
   bool evicted = false;     // tombstone: manager dropped it; re-HELLO
 
-  /// Created on HELLO with diagnose_inline = false and metric_label =
-  /// tenant name. Single-drainer access only (see above).
+  /// Created on HELLO with diagnose_inline = false. Single-drainer access
+  /// only (see above).
   std::unique_ptr<core::StreamingMonitor> monitor;
 
   /// Durable telemetry history (nullptr when the service runs without a
@@ -122,13 +129,12 @@ class TenantManager {
   explicit TenantManager(Options options);
 
   /// Finds or creates the tenant. Creating builds its monitor from the
-  /// manager's options (diagnosis forced out-of-band, metrics labeled by
-  /// tenant name), opens its history store when one is configured —
-  /// recovering sealed segments and re-hydrating the monitor window from
-  /// the stored tail — and arms `retain` if given (a re-HELLO with a
-  /// RETAIN clause re-arms it). A second HELLO with a different schema
-  /// fails with FailedPrecondition; an identical one is an idempotent
-  /// no-op.
+  /// manager's options (diagnosis forced out-of-band), opens its history
+  /// store when one is configured — recovering sealed segments and
+  /// re-hydrating the monitor window from the stored tail — and arms
+  /// `retain` if given (a re-HELLO with a RETAIN clause re-arms it). A
+  /// second HELLO with a different schema fails with FailedPrecondition;
+  /// an identical one is an idempotent no-op.
   common::Result<std::shared_ptr<Tenant>> Hello(
       const std::string& name, const tsdata::Schema& schema,
       const std::optional<Retention>& retain = std::nullopt);
@@ -136,8 +142,9 @@ class TenantManager {
   /// The tenant, or NotFound. Bumps its LRU tick.
   common::Result<std::shared_ptr<Tenant>> Find(const std::string& name);
 
-  /// Names of live tenants (sorted, for STATS).
-  std::vector<std::string> Names() const;
+  /// Live tenants, sorted by name (STATS, FlushAll, Stop). Unlike Find it
+  /// leaves the LRU order alone: listing is not a use.
+  std::vector<std::shared_ptr<Tenant>> Live() const;
 
   size_t size() const;
   uint64_t evictions() const { return evictions_.load(); }

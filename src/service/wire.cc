@@ -76,82 +76,6 @@ Status ParseWhereClauses(const std::string& text,
   return Status::OK();
 }
 
-Result<Request> ParseJsonRequest(const std::string& line) {
-  auto json = common::ParseJson(line);
-  if (!json.ok()) return json.status();
-  auto op = json->GetString("op");
-  if (!op.ok()) return op.status();
-
-  Request request;
-  auto tenant = json->GetString("tenant");
-  if (!tenant.ok()) return tenant.status();
-  request.tenant = *tenant;
-  if (!ValidTenantName(request.tenant)) {
-    return Status::InvalidArgument("invalid tenant name: " + request.tenant);
-  }
-
-  if (*op == "hello") {
-    request.op = RequestOp::kHello;
-    auto spec = json->GetString("schema");
-    if (!spec.ok()) return spec.status();
-    auto schema = ParseSchemaSpec(*spec);
-    if (!schema.ok()) return schema.status();
-    request.schema = std::move(*schema);
-    // Optional retention clause (either key arms it; missing key = 0 =
-    // unlimited on that axis).
-    const common::JsonValue* bytes = json->Find("retain_bytes");
-    const common::JsonValue* age = json->Find("retain_sec");
-    if (bytes != nullptr || age != nullptr) {
-      if (bytes != nullptr) {
-        if (!bytes->is_number() || bytes->as_number() < 0) {
-          return Status::InvalidArgument(
-              "retain_bytes must be a non-negative number");
-        }
-        request.retain_bytes = static_cast<uint64_t>(bytes->as_number());
-      }
-      if (age != nullptr) {
-        if (!age->is_number() || age->as_number() < 0) {
-          return Status::InvalidArgument(
-              "retain_sec must be a non-negative number");
-        }
-        request.retain_age_sec = age->as_number();
-      }
-      request.has_retain = true;
-    }
-    return request;
-  }
-  if (*op == "append") {
-    request.op = RequestOp::kAppend;
-    auto ts = json->GetNumber("ts");
-    if (!ts.ok()) return ts.status();
-    request.timestamp = *ts;
-    if (const common::JsonValue* seq = json->Find("seq")) {
-      if (!seq->is_number() || seq->as_number() < 0 ||
-          seq->as_number() > 9e15) {
-        return Status::InvalidArgument(
-            "append seq must be a non-negative number");
-      }
-      request.has_client_seq = true;
-      request.client_seq = static_cast<uint64_t>(seq->as_number());
-    }
-    auto cells = json->GetArray("cells");
-    if (!cells.ok()) return cells.status();
-    request.cells_typed = true;
-    for (const common::JsonValue& cell : (*cells)->as_array()) {
-      if (cell.is_number()) {
-        request.cells.emplace_back(cell.as_number());
-      } else if (cell.is_string()) {
-        request.cells.emplace_back(cell.as_string());
-      } else {
-        return Status::InvalidArgument(
-            "append cells must be numbers or strings");
-      }
-    }
-    return request;
-  }
-  return Status::InvalidArgument("unknown JSON op: " + *op);
-}
-
 }  // namespace
 
 bool ValidTenantName(const std::string& name) {
@@ -216,7 +140,6 @@ Result<Request> ParseRequestLine(const std::string& line_in) {
   std::string line = line_in;
   if (!line.empty() && line.back() == '\r') line.pop_back();
   if (line.empty()) return Status::InvalidArgument("empty request line");
-  if (line[0] == '{') return ParseJsonRequest(line);
 
   std::string rest = line;
   std::string verb = NextField(&rest);

@@ -14,10 +14,9 @@
 namespace dbsherlock::service {
 
 /// The dbsherlockd wire protocol: newline-delimited requests, one response
-/// line per request, over a plain TCP stream. Two request encodings share
-/// one dispatch path:
+/// line per request, over a plain TCP stream. A request is a verb and its
+/// space-separated arguments, with APPEND cells as CSV:
 ///
-///   Text (space-separated verb + args, cells as CSV):
 ///     HELLO <tenant> <name:kind[,name:kind...]> [RETAIN <bytes> <age_sec>]
 ///                                                     kind: num | cat
 ///     APPEND <tenant> <timestamp> <cell[,cell...]>
@@ -36,21 +35,13 @@ namespace dbsherlock::service {
 ///     PING
 ///     QUIT
 ///
-///   JSON (a line starting with '{'; append/hello only — the ops a metrics
-///   collector emits):
-///     {"op":"append","tenant":"t0","ts":12.0,"cells":[1.5,"mixed"],
-///      "seq":7}                                        (seq optional)
-///     {"op":"hello","tenant":"t0","schema":"cpu:num,mode:cat",
-///      "retain_bytes":1048576,"retain_sec":3600}       (retain_* optional)
-///
-/// APPENDSEQ (and JSON append with "seq") carries a client-chosen,
-/// strictly-increasing sequence number per tenant. The server remembers
-/// the highest seq it applied; a seq at or below that is acknowledged
-/// without re-ingesting the row, which makes retries after a dropped
-/// connection idempotent (the response may have been lost after the row
-/// was applied). One writer per tenant is assumed. Seq state is per
-/// server incarnation; across restarts, duplicate rows are dropped by the
-/// strictly-increasing-timestamp rule instead.
+/// APPENDSEQ carries a client-chosen, strictly-increasing sequence number
+/// per tenant. The server remembers the highest seq it applied; a seq at
+/// or below that is acknowledged without re-ingesting the row, which makes
+/// retries after a dropped connection idempotent (the response may have
+/// been lost after the row was applied). One writer per tenant is assumed.
+/// Seq state is per server incarnation; across restarts, duplicate rows
+/// are dropped by the strictly-increasing-timestamp rule instead.
 ///
 /// HEALTH reports the daemon's degraded-mode state:
 ///     OK {"state":"ok|degraded|draining","reason":...}
@@ -122,19 +113,17 @@ enum class RequestOp {
   kQuit,
 };
 
-/// One parsed request line. Cells arrive typed (JSON append: numbers and
-/// strings) or as raw text fields (CSV append) that the service coerces
-/// against the tenant's schema — the wire layer does not know schemas.
+/// One parsed request line. APPEND cells arrive as raw text fields that
+/// the server coerces against the tenant's schema — the wire layer does
+/// not know schemas.
 struct Request {
   RequestOp op = RequestOp::kPing;
   std::string tenant;                    // hello/append/diagnoses/flush
   tsdata::Schema schema;                 // hello
   double timestamp = 0.0;                // append
-  bool has_client_seq = false;           // APPENDSEQ / JSON append "seq"
+  bool has_client_seq = false;           // APPENDSEQ
   uint64_t client_seq = 0;               // idempotency sequence number
-  bool cells_typed = false;              // which cell field is populated
-  std::vector<tsdata::Cell> cells;       // append (JSON path)
-  std::vector<std::string> raw_cells;    // append (CSV path)
+  std::vector<std::string> raw_cells;    // append, one field per cell
   core::CausalModel model;               // teach
   double t0 = 0.0;                       // query/diagnose_range, [t0, t1)
   double t1 = 0.0;

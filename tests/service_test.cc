@@ -1,6 +1,7 @@
 // In-process tests for the dbsherlockd engine (service/service.h):
 // tenancy, schema pinning, bounded-queue backpressure, the background
-// diagnosis flow against the durable store, idle-LRU eviction, and
+// diagnosis flow against the durable store, idle-LRU eviction, per-tenant
+// STATS, a metrics registry that does not grow with tenants, and
 // Stop/Flush semantics. The TCP layer is covered by service_e2e_test.
 
 #include "service/service.h"
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 
 namespace dbsherlock::service {
@@ -239,6 +241,89 @@ TEST(ServiceTest, IdleTenantsAreEvictedLeastRecentlyUsed) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->accepted);
   ASSERT_TRUE(service.Hello("t0", TwoNumeric()).ok());
+  service.Stop();
+}
+
+TEST(ServiceTest, StatsLeavesTheLruOrderAlone) {
+  // STATS lists every tenant; reading it must not count as using them,
+  // or one STATS call would turn LRU order into name order.
+  auto store = VolatileStore();
+  Service::Options options;
+  options.store = store.get();
+  options.tenants.max_tenants = 2;
+  Service service(options);
+
+  ASSERT_TRUE(service.Hello("b", TwoNumeric()).ok());
+  ASSERT_TRUE(service.Hello("a", TwoNumeric()).ok());
+  (void)service.StatsJson();
+  ASSERT_TRUE(service.Hello("c", TwoNumeric()).ok());  // evicts idle b
+  EXPECT_EQ(service.tenants().evictions(), 1u);
+  EXPECT_EQ(service.Append("b", 0.0, {1.0, 2.0}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(service.Append("a", 0.0, {1.0, 2.0}).ok());
+  common::JsonValue stats = service.StatsJson();
+  const common::JsonValue* tenants = stats.Find("tenants");
+  ASSERT_NE(tenants, nullptr);
+  EXPECT_NE(tenants->Find("a"), nullptr);
+  EXPECT_NE(tenants->Find("c"), nullptr);
+  EXPECT_EQ(tenants->Find("b"), nullptr);
+  service.Stop();
+}
+
+TEST(ServiceTest, StatsReportsPerTenantMonitorDrops) {
+  auto store = VolatileStore();
+  Service::Options options;
+  options.store = store.get();
+  Service service(options);
+  ASSERT_TRUE(service.Hello("t0", TwoNumeric()).ok());
+  ASSERT_TRUE(service.Hello("t1", TwoNumeric()).ok());
+  AppendBlocking(&service, "t0", 10.0, {1.0, 2.0});
+  AppendBlocking(&service, "t0", 5.0, {1.0, 2.0});   // late
+  AppendBlocking(&service, "t0", 10.0, {1.0, 2.0});  // duplicate
+  AppendBlocking(&service, "t1", 1.0, {1.0, 2.0});
+  ASSERT_TRUE(service.FlushAll().ok());
+
+  common::JsonValue stats = service.StatsJson();
+  const common::JsonValue* t0 = stats.Find("tenants")->Find("t0");
+  ASSERT_NE(t0, nullptr);
+  EXPECT_EQ(t0->GetNumber("processed").ValueOr(-1), 3.0);
+  EXPECT_EQ(t0->GetNumber("late_dropped").ValueOr(-1), 1.0);
+  EXPECT_EQ(t0->GetNumber("duplicate_dropped").ValueOr(-1), 1.0);
+  EXPECT_EQ(t0->GetNumber("non_finite_dropped").ValueOr(-1), 0.0);
+  EXPECT_EQ(t0->GetNumber("alerts").ValueOr(-1), 0.0);
+  // Counts are per tenant: t1's clean row drops nothing.
+  const common::JsonValue* t1 = stats.Find("tenants")->Find("t1");
+  ASSERT_NE(t1, nullptr);
+  EXPECT_EQ(t1->GetNumber("late_dropped").ValueOr(-1), 0.0);
+  EXPECT_EQ(t1->GetNumber("duplicate_dropped").ValueOr(-1), 0.0);
+  service.Stop();
+}
+
+TEST(ServiceTest, RegistrySeriesCountDoesNotGrowWithTenants) {
+  // Per-tenant counts live in the Tenant (STATS), not in the process-wide
+  // registry: 40 more tenants must not add a single series.
+  auto series = [] {
+    common::JsonValue snapshot =
+        common::MetricsRegistry::Global().SnapshotJson();
+    return snapshot.Find("counters")->as_object().size() +
+           snapshot.Find("gauges")->as_object().size() +
+           snapshot.Find("histograms")->as_object().size();
+  };
+  auto store = VolatileStore();
+  Service::Options options;
+  options.store = store.get();
+  Service service(options);
+  auto greet_and_append = [&](const std::string& tenant) {
+    ASSERT_TRUE(service.Hello(tenant, TwoNumeric()).ok());
+    AppendBlocking(&service, tenant, 1.0, {1.0, 2.0});
+    AppendBlocking(&service, tenant, 0.5, {1.0, 2.0});  // late
+    ASSERT_TRUE(service.Flush(tenant).ok());
+  };
+  greet_and_append("first");
+  size_t one_tenant = series();
+  for (int i = 0; i < 40; ++i) greet_and_append("t" + std::to_string(i));
+  EXPECT_EQ(service.tenants().size(), 41u);
+  EXPECT_EQ(series(), one_tenant);
   service.Stop();
 }
 

@@ -59,31 +59,9 @@ TEST(WireTest, ParsesCsvAppend) {
   EXPECT_EQ(request->op, RequestOp::kAppend);
   EXPECT_EQ(request->tenant, "t0");
   EXPECT_EQ(request->timestamp, 12.5);
-  EXPECT_FALSE(request->cells_typed);  // CSV cells await schema coercion
   ASSERT_EQ(request->raw_cells.size(), 2u);
   EXPECT_EQ(request->raw_cells[0], "1.5");
   EXPECT_EQ(request->raw_cells[1], "idle");
-}
-
-TEST(WireTest, ParsesJsonAppend) {
-  auto request = ParseRequestLine(
-      R"({"op":"append","tenant":"t0","ts":12.0,"cells":[1.5,"mixed"]})");
-  ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_EQ(request->op, RequestOp::kAppend);
-  EXPECT_EQ(request->timestamp, 12.0);
-  EXPECT_TRUE(request->cells_typed);
-  ASSERT_EQ(request->cells.size(), 2u);
-  EXPECT_EQ(std::get<double>(request->cells[0]), 1.5);
-  EXPECT_EQ(std::get<std::string>(request->cells[1]), "mixed");
-}
-
-TEST(WireTest, ParsesJsonHello) {
-  auto request = ParseRequestLine(
-      R"({"op":"hello","tenant":"t1","schema":"cpu:num,mode:cat"})");
-  ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_EQ(request->op, RequestOp::kHello);
-  EXPECT_EQ(request->tenant, "t1");
-  EXPECT_TRUE(request->schema == WireSchema());
 }
 
 TEST(WireTest, ParsesTeach) {
@@ -176,21 +154,6 @@ TEST(WireTest, RejectsBadRetainTrailer) {
   }
 }
 
-TEST(WireTest, ParsesJsonHelloRetain) {
-  auto request = ParseRequestLine(
-      R"({"op":"hello","tenant":"t1","schema":"cpu:num",)"
-      R"("retain_bytes":2048,"retain_sec":60.5})");
-  ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_TRUE(request->has_retain);
-  EXPECT_EQ(request->retain_bytes, 2048u);
-  EXPECT_DOUBLE_EQ(request->retain_age_sec, 60.5);
-
-  EXPECT_FALSE(ParseRequestLine(
-                   R"({"op":"hello","tenant":"t1","schema":"cpu:num",)"
-                   R"("retain_bytes":-5})")
-                   .ok());
-}
-
 TEST(WireTest, ParsesAppendSeqForIdempotentRetries) {
   auto request = ParseRequestLine("APPENDSEQ t0 42 12.5 1.5,idle");
   ASSERT_TRUE(request.ok()) << request.status().ToString();
@@ -207,23 +170,11 @@ TEST(WireTest, ParsesAppendSeqForIdempotentRetries) {
   EXPECT_FALSE(plain->has_client_seq);
 }
 
-TEST(WireTest, ParsesJsonAppendSeq) {
-  auto request = ParseRequestLine(
-      R"({"op":"append","tenant":"t0","ts":1.0,"seq":7,"cells":[1.5,"a"]})");
-  ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_TRUE(request->has_client_seq);
-  EXPECT_EQ(request->client_seq, 7u);
-}
-
 TEST(WireTest, RejectsBadAppendSeq) {
   for (const std::string& line : {
            std::string("APPENDSEQ t0 notanum 12.5 1.5,idle"),
            std::string("APPENDSEQ t0 -3 12.5 1.5,idle"),
            std::string("APPENDSEQ t0 42 12.5"),  // seq ate the cells
-           std::string(
-               R"({"op":"append","tenant":"t0","ts":1,"seq":-1,"cells":[1,"a"]})"),
-           std::string(
-               R"({"op":"append","tenant":"t0","ts":1,"seq":"x","cells":[1,"a"]})"),
        }) {
     EXPECT_FALSE(ParseRequestLine(line).ok()) << line;
   }
@@ -233,7 +184,7 @@ TEST(WireTest, ParsesHealth) {
   auto request = ParseRequestLine("HEALTH");
   ASSERT_TRUE(request.ok()) << request.status().ToString();
   EXPECT_EQ(request->op, RequestOp::kHealth);
-  // The JSON dialect is ingestion-only (hello/append): no health there.
+  // JSON is not a request encoding.
   EXPECT_FALSE(ParseRequestLine(R"({"op":"health"})").ok());
 }
 
@@ -247,9 +198,9 @@ TEST(WireTest, RejectsMalformedRequests) {
            std::string("APPEND t0 nan_nope 1"),        // bad timestamp
            std::string("APPEND t0"),                   // missing cells
            std::string("TEACH not-json"),
-           std::string("{\"op\":\"launch\"}"),         // unknown JSON op
-           std::string("{\"op\":\"append\"}"),         // missing fields
-           std::string("{oops"),                       // broken JSON
+           // JSON is not a request encoding, not even a complete append.
+           std::string(R"({"op":"append","tenant":"t0","ts":1,"cells":[1]})"),
+           std::string("{oops"),
            std::string("DIAGNOSES"),                   // missing tenant
        }) {
     EXPECT_FALSE(ParseRequestLine(line).ok()) << line;
@@ -449,7 +400,7 @@ TEST(WireTest, ByteMutationFuzzNeverCrashes) {
   const std::vector<std::string> bases = {
       "HELLO tenant0 cpu:num,mode:cat,iops:num",
       "APPEND tenant0 1754.25 0.5,idle,120",
-      R"({"op":"append","tenant":"t0","ts":12.0,"cells":[1.5,"mixed"]})",
+      "APPENDSEQ tenant0 7 1754.25 0.5,idle,120",
       R"(TEACH {"cause":"x","predicates":[{"attribute":"a","type":"gt",)"
       R"("low":5}]})",
       "OK 12",

@@ -179,6 +179,68 @@ TEST(StoreServiceTest, DiagnoseRangeFindsCauseAfterRowsLeftTheWindow) {
   service.Stop();
 }
 
+TEST(StoreServiceTest, OneLambdaRanksAndFloorsMargins) {
+  // One lambda: explainer.confidence_threshold (what --lambda sets) is the
+  // bar for every ranking and the floor of the last cause's DQL margin.
+  auto model_store = VolatileStore();
+  Service::Options options =
+      StoreOptions(model_store.get(), HistoryRoot("lambda"));
+  options.explainer.confidence_threshold = 50.0;
+  Service service(options);
+  ASSERT_TRUE(service.Hello("t0", TwoNumeric()).ok());
+  core::CausalModel hog;
+  hog.cause = "CPU hog";
+  hog.predicates = {
+      core::Predicate{
+          "cpu", core::PredicateType::kGreaterThan, 70.0, 0.0, {}},
+      core::Predicate{
+          "latency", core::PredicateType::kGreaterThan, 50.0, 0.0, {}}};
+  ASSERT_TRUE(service.Teach(hog).ok());
+  // Half a fit: the attribute this tenant lacks contributes 0, so the
+  // confidence is at most 50 (half a perfect fit), well above 20, and
+  // never clears lambda = 50.
+  core::CausalModel partial;
+  partial.cause = "Partial fit";
+  partial.predicates = {
+      core::Predicate{
+          "cpu", core::PredicateType::kGreaterThan, 70.0, 0.0, {}},
+      core::Predicate{
+          "absent_metric", core::PredicateType::kGreaterThan, 1.0, 0.0, {}}};
+  ASSERT_TRUE(service.Teach(partial).ok());
+  common::Pcg32 rng(42);
+  for (int t = 0; t < 450; ++t) {
+    bool ab = t >= 300 && t < 340;
+    double latency = (ab ? 90.0 : 10.0) + rng.NextGaussian(0.0, 1.5);
+    double cpu = (ab ? 95.0 : 40.0) + rng.NextGaussian(0.0, 2.0);
+    AppendBlocking(&service, "t0", t, {latency, cpu});
+  }
+  ASSERT_TRUE(service.Flush("t0").ok());
+
+  auto report = service.ExplainQueryJson("t0", "EXPLAIN REGION 300 340");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  auto findings = report->GetArray("findings");
+  ASSERT_TRUE(findings.ok());
+  ASSERT_FALSE((*findings)->as_array().empty());
+  auto causes = (*findings)->as_array().front().GetArray("causes");
+  ASSERT_TRUE(causes.ok());
+  ASSERT_EQ((*causes)->as_array().size(), 1u) << report->Dump();
+  const common::JsonValue& last = (*causes)->as_array().back();
+  EXPECT_EQ(last.GetString("cause").ValueOr(""), "CPU hog");
+  double confidence = last.GetNumber("confidence").ValueOr(0.0);
+  EXPECT_GT(confidence, 50.0);
+  EXPECT_NEAR(last.GetNumber("margin").ValueOr(-1.0), confidence - 50.0,
+              1e-3);
+
+  auto range = service.DiagnoseRangeJson("t0", 300.0, 340.0);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  auto ranked = range->GetArray("causes");
+  ASSERT_TRUE(ranked.ok());
+  ASSERT_EQ((*ranked)->as_array().size(), 1u) << range->Dump();
+  EXPECT_EQ((*ranked)->as_array().front().GetString("cause").ValueOr(""),
+            "CPU hog");
+  service.Stop();
+}
+
 TEST(StoreServiceTest, DiagnoseRangeRejectsEmptyRegions) {
   auto model_store = VolatileStore();
   Service::Options options =

@@ -150,20 +150,16 @@ TEST(StreamingMonitorTest, DropCountersLandInMetricsSnapshot) {
 TEST(StreamingMonitorTest, LabeledInstancesNeverDoubleCountTheAggregate) {
   // Two monitors in one process (the multi-tenant service case): the
   // aggregate `streaming_monitor.*` counters must count each event exactly
-  // once, while the `streaming_monitor.instance.<label>.*` mirrors keep
-  // the two pipelines apart.
+  // once, while each instance's own accessors keep the two pipelines
+  // apart (the service copies those into its per-tenant STATS).
   common::MetricsRegistry& reg = common::MetricsRegistry::Global();
   uint64_t appended0 =
       reg.GetCounter("streaming_monitor.rows_appended")->value();
   uint64_t late0 =
       reg.GetCounter("streaming_monitor.rows_dropped_late")->value();
 
-  StreamingMonitor::Options a_options;
-  a_options.metric_label = "ten_a";
-  StreamingMonitor::Options b_options;
-  b_options.metric_label = "ten_b";
-  StreamingMonitor a(MonitorSchema(), a_options);
-  StreamingMonitor b(MonitorSchema(), b_options);
+  StreamingMonitor a(MonitorSchema(), {});
+  StreamingMonitor b(MonitorSchema(), {});
   for (int t = 0; t < 10; ++t) a.Append(t, {1.0, 1.0});
   for (int t = 0; t < 4; ++t) b.Append(t, {1.0, 1.0});
   b.Append(1.0, {1.0, 1.0});  // late: dropped, attributed to b only
@@ -172,33 +168,49 @@ TEST(StreamingMonitorTest, LabeledInstancesNeverDoubleCountTheAggregate) {
             appended0 + 14);
   EXPECT_EQ(reg.GetCounter("streaming_monitor.rows_dropped_late")->value(),
             late0 + 1);
-  EXPECT_EQ(
-      reg.GetCounter("streaming_monitor.instance.ten_a.rows_appended")
-          ->value(),
-      10u);
-  EXPECT_EQ(
-      reg.GetCounter("streaming_monitor.instance.ten_b.rows_appended")
-          ->value(),
-      4u);
-  EXPECT_EQ(
-      reg.GetCounter("streaming_monitor.instance.ten_a.rows_dropped_late")
-          ->value(),
-      0u);
-  EXPECT_EQ(
-      reg.GetCounter("streaming_monitor.instance.ten_b.rows_dropped_late")
-          ->value(),
-      1u);
+  EXPECT_EQ(a.rows_seen(), 10u);
+  EXPECT_EQ(b.rows_seen(), 4u);
+  EXPECT_EQ(a.late_rows_dropped(), 0u);
+  EXPECT_EQ(b.late_rows_dropped(), 1u);
 }
 
 TEST(StreamingMonitorTest, UnlabeledMonitorRegistersNoInstanceMirror) {
-  StreamingMonitor monitor(MonitorSchema(), {});
-  monitor.Append(0.0, {1.0, 1.0});
-  common::JsonValue snapshot =
-      common::MetricsRegistry::Global().SnapshotJson();
-  const common::JsonValue* counters = snapshot.Find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->Find("streaming_monitor.instance..rows_appended"),
-            nullptr);
+  // The registry holds the aggregates only: a new monitor adds no series,
+  // so its size does not grow with the number of monitors (tenants).
+  auto count_series = [] {
+    common::JsonValue snapshot =
+        common::MetricsRegistry::Global().SnapshotJson();
+    return snapshot.Find("counters")->as_object().size() +
+           snapshot.Find("gauges")->as_object().size() +
+           snapshot.Find("histograms")->as_object().size();
+  };
+  StreamingMonitor first(MonitorSchema(), {});
+  first.Append(0.0, {1.0, 1.0});  // registers the aggregates
+  size_t series = count_series();
+  for (int i = 0; i < 5; ++i) {
+    StreamingMonitor monitor(MonitorSchema(), {});
+    monitor.Append(0.0, {1.0, 1.0});
+    monitor.Append(0.0, {1.0, 1.0});  // duplicate
+  }
+  EXPECT_EQ(count_series(), series);
+}
+
+TEST(StreamingMonitorTest, DetectionFollowsExplainerDetectorOptions) {
+  // One detector configuration: the explainer's. The stream that
+  // AlertsOnceOnAnomaly alerts on stays quiet once the explainer's
+  // detector selects no attribute (a PPt above any potential power).
+  StreamingMonitor::Options options;
+  options.explainer.detector_options.potential_power_threshold = 1e9;
+  StreamingMonitor blind(MonitorSchema(), options);
+  common::Pcg32 rng(2);
+  EXPECT_TRUE(Feed(&blind, 0, 500, 300, 340, &rng).empty());
+  EXPECT_EQ(blind.alerts_raised(), 0u);
+
+  StreamingMonitor control(MonitorSchema(), {});
+  common::Pcg32 same(2);
+  auto alerts = Feed(&control, 0, 500, 300, 340, &same);
+  EXPECT_FALSE(alerts.empty());
+  EXPECT_EQ(control.alerts_raised(), alerts.size());
 }
 
 TEST(StreamingMonitorTest, PreloadedModelsNameTheCause) {
@@ -232,7 +244,7 @@ TEST(StreamingMonitorTest, HydratePrefillsWindowWithoutDetection) {
   ASSERT_TRUE(monitor.Hydrate(Tail(0, 200)).ok());
   EXPECT_EQ(monitor.window_size(), 200u);
   EXPECT_EQ(monitor.rows_seen(), 200u);
-  EXPECT_TRUE(monitor.alerts().empty());
+  EXPECT_EQ(monitor.alerts_raised(), 0u);
   // Live appends continue after the hydrated span.
   auto alert = monitor.Append(200.0, {10.0, 40.0});
   EXPECT_FALSE(alert.has_value());

@@ -396,21 +396,19 @@ int CmdModels(const Args& args) {
 ///   --diagnoses --tenant T | --flush --tenant T
 ///   --raw "LINE"                    (send one raw request line)
 int CmdClient(const Args& args) {
-  std::string connect = args.Get("connect", "127.0.0.1:7379");
-  size_t colon = connect.rfind(':');
-  if (colon == std::string::npos) {
+  auto endpoint =
+      service::ParseHostPort(args.Get("connect", "127.0.0.1:7379"));
+  if (!endpoint.ok()) {
     std::fprintf(stderr, "--connect wants host:port\n");
     return 2;
   }
-  auto port = common::ParseInt64(connect.substr(colon + 1));
-  if (!port.ok()) Die(port.status());
   service::Client::Options client_options;
   client_options.connect_timeout_ms =
       static_cast<int>(args.GetDouble("connect-timeout-ms", 0));
   client_options.deadline_ms =
       static_cast<int>(args.GetDouble("deadline-ms", 0));
-  auto client = service::Client::Connect(
-      connect.substr(0, colon), static_cast<int>(*port), client_options);
+  auto client = service::Client::Connect(endpoint->host, endpoint->port,
+                                         client_options);
   if (!client.ok()) Die(client.status());
 
   if (args.Has("health")) {

@@ -107,7 +107,8 @@ int Usage() {
       "  --window-rows N       monitor sliding window (default 600)\n"
       "  --warmup-rows N       rows before first detection (default 120)\n"
       "  --detect-every N      detection cadence in rows (default 15)\n"
-      "  --lambda L            min confidence for ranked causes\n"
+      "  --lambda L            min confidence (%%) for ranked causes and\n"
+      "                        the EXPLAINQ margin floor (default 20)\n"
       "  --metrics-out f.json  write the metrics snapshot on shutdown\n"
       "  --print-metrics       print the metrics snapshot on shutdown\n"
       "route flags:\n"
@@ -153,20 +154,22 @@ int WriteMetricsOutputs(const Args& args) {
   return 0;
 }
 
-int CmdServe(const Args& args, const sigset_t& unblocked) {
-  // A typo'd schedule refuses to start rather than silently running clean.
-  if (args.Has("fault-schedule")) {
-    common::Status installed =
-        common::faultenv::InstallSchedule(args.Get("fault-schedule"));
-    if (!installed.ok()) Die(installed);
-  } else {
-    common::Status installed = common::faultenv::InstallFromEnv();
-    if (!installed.ok()) Die(installed);
-  }
+/// Installs --fault-schedule, else DBSHERLOCK_FAULT_SCHEDULE. A typo'd
+/// schedule refuses to start rather than silently running clean.
+void InstallFaultSchedule(const Args& args) {
+  common::Status installed =
+      args.Has("fault-schedule")
+          ? common::faultenv::InstallSchedule(args.Get("fault-schedule"))
+          : common::faultenv::InstallFromEnv();
+  if (!installed.ok()) Die(installed);
   if (common::faultenv::Enabled()) {
     std::fprintf(stderr, "fault schedule active: %s\n",
                  common::faultenv::ActiveSpec().c_str());
   }
+}
+
+int CmdServe(const Args& args, const sigset_t& unblocked) {
+  InstallFaultSchedule(args);
 
   service::DurableModelStore::Options store_options;
   store_options.dir = args.Get("wal-dir");
@@ -210,7 +213,8 @@ int CmdServe(const Args& args, const sigset_t& unblocked) {
   // visible on fast machines (0 = off).
   options.process_delay_us =
       static_cast<int>(args.GetDouble("process-delay-us", 0));
-  options.min_confidence = args.GetDouble("lambda", 20.0);
+  // The one lambda: ranking everywhere and the DQL margin floor.
+  options.explainer.confidence_threshold = args.GetDouble("lambda", 20.0);
   options.max_range_rows =
       static_cast<size_t>(args.GetDouble("max-range-rows", 500000));
   options.store = store->get();
@@ -268,14 +272,7 @@ int CmdServe(const Args& args, const sigset_t& unblocked) {
 }
 
 int CmdRoute(const Args& args, const sigset_t& unblocked) {
-  if (args.Has("fault-schedule")) {
-    common::Status installed =
-        common::faultenv::InstallSchedule(args.Get("fault-schedule"));
-    if (!installed.ok()) Die(installed);
-  } else {
-    common::Status installed = common::faultenv::InstallFromEnv();
-    if (!installed.ok()) Die(installed);
-  }
+  InstallFaultSchedule(args);
 
   fleet::Router::Options options;
   options.host = args.Get("host", "127.0.0.1");
