@@ -11,11 +11,10 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/explainer.h"
+#include "golden.h"
 #include "query/compiler.h"
 #include "query/executor.h"
 #include "query/parser.h"
@@ -23,46 +22,8 @@
 #include "simulator/dataset_gen.h"
 #include "store/tenant_store.h"
 
-#ifndef DBSHERLOCK_GOLDEN_DIR
-#error "build must define DBSHERLOCK_GOLDEN_DIR"
-#endif
-
 namespace dbsherlock::query {
 namespace {
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(DBSHERLOCK_GOLDEN_DIR) + "/" + name;
-}
-
-bool UpdateGolden() {
-  const char* env = std::getenv("DBSHERLOCK_UPDATE_GOLDEN");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-std::string ReadFileOrEmpty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-void CompareToGolden(const std::string& name, const std::string& got) {
-  std::string path = GoldenPath(name);
-  if (UpdateGolden()) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << got;
-    return;
-  }
-  std::string want = ReadFileOrEmpty(path);
-  ASSERT_FALSE(want.empty())
-      << path << " missing — regenerate with DBSHERLOCK_UPDATE_GOLDEN=1";
-  EXPECT_EQ(got, want)
-      << name << " drifted; if the change is intentional, regenerate with "
-      << "DBSHERLOCK_UPDATE_GOLDEN=1\n--- got ---\n"
-      << got;
-}
 
 std::string StoreDir(const std::string& name) {
   std::string dir = testing::TempDir() + "/dbsherlock_qgolden_" +
