@@ -97,27 +97,6 @@ BENCHMARK(BM_PredicateGeneration_Rows_Scalar)
     ->Arg(1800)
     ->Arg(3600);
 
-// The pre-kernel row-at-a-time path (use_batch_kernels=false): per-row
-// schema lookups and virtual Predicate::MatchesRow calls. Kept as the
-// regression baseline for the columnar refactor.
-void BM_PredicateGeneration_Rows_RowAtATime(benchmark::State& state) {
-  simulator::GeneratedDataset ds = RowsScaledDataset(state.range(0));
-  core::PredicateGenOptions gen_options;
-  gen_options.use_batch_kernels = false;
-  for (auto _ : state) {
-    auto result = core::GeneratePredicates(ds.data, ds.regions, gen_options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(ds.data.num_rows()));
-}
-BENCHMARK(BM_PredicateGeneration_Rows_RowAtATime)
-    ->Arg(120)
-    ->Arg(300)
-    ->Arg(600)
-    ->Arg(1800)
-    ->Arg(3600);
-
 // Thread-count sweep of the fused per-attribute loop (1/2/4/8 lanes; the
 // speedup relative to Arg(1) measures the parallel efficiency of the
 // diagnosis engine on this machine).
@@ -172,10 +151,10 @@ void BM_RepositoryRank(benchmark::State& state) {
 }
 BENCHMARK(BM_RepositoryRank)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// The seed's Rank loop: one cache-free ModelConfidence per model, i.e.
-// every model rebuilds every referenced attribute's partition space. The
-// ratio BM_RepositoryRank_NoCache / BM_RepositoryRank(1) is the
-// PartitionSpaceCache win at equal thread count.
+// The seed's Rank loop: one ModelConfidence per model, each over its own
+// one-model cache, i.e. every model rebuilds every referenced attribute's
+// partition space. The ratio BM_RepositoryRank_NoCache /
+// BM_RepositoryRank(1) is the shared cache's win at equal thread count.
 void BM_RepositoryRank_NoCache(benchmark::State& state) {
   const core::ModelRepository& repo = SharedRepository();
   const simulator::GeneratedDataset& ds = SharedDataset();

@@ -71,18 +71,10 @@ DetectionResult DetectAnomalies(const tsdata::Dataset& dataset,
       double hi = common::Max(finite);
       double fill = common::MinMaxNormalize(common::Median(finite), lo, hi);
       std::vector<double> normalized(values.size());
-      if (options.use_batch_kernels) {
-        // Same arithmetic per cell as the scalar loop below (the kernel
-        // wrapper owns the degenerate-range case), one vector sweep.
-        common::simd::NormalizeSpan(values.data(), values.size(), lo, hi,
-                                    fill, normalized.data());
-      } else {
-        for (size_t i = 0; i < values.size(); ++i) {
-          normalized[i] = std::isfinite(values[i])
-                              ? common::MinMaxNormalize(values[i], lo, hi)
-                              : fill;
-        }
-      }
+      // Per finite cell common::MinMaxNormalize's arithmetic (the kernel
+      // wrapper owns the degenerate-range case), one vector sweep.
+      common::simd::NormalizeSpan(values.data(), values.size(), lo, hi, fill,
+                                  normalized.data());
       if (PotentialPower(normalized, options.window) >
           options.potential_power_threshold) {
         result.selected_attributes.push_back(
@@ -93,32 +85,19 @@ DetectionResult DetectAnomalies(const tsdata::Dataset& dataset,
   }
   if (selected_columns.empty()) return result;
 
-  // 2. Feature vectors over the selected attributes. The batch path keeps
-  // the columns as-is (they are already dimension-major, the layout the
-  // distance kernel streams); the legacy path gathers row-major points.
+  // 2. Feature vectors over the selected attributes: the columns as they
+  // are, already dimension-major, the layout the distance kernel streams.
   PointColumns columns;
-  std::vector<std::vector<double>> points;
-  if (options.use_batch_kernels) {
-    for (const auto& colvals : selected_columns) {
-      columns.columns.push_back(colvals.data());
-    }
-    columns.num_points = n;
-  } else {
-    points.resize(n);
-    for (size_t row = 0; row < n; ++row) {
-      points[row].reserve(selected_columns.size());
-      for (const auto& colvals : selected_columns) {
-        points[row].push_back(colvals[row]);
-      }
-    }
+  for (const auto& colvals : selected_columns) {
+    columns.columns.push_back(colvals.data());
   }
+  columns.num_points = n;
 
   // 3. eps from the k-dist heuristic; cluster.
   std::vector<double> kdist;
   {
     TRACE_SPAN("detect.kdist_epsilon");
-    kdist = options.use_batch_kernels ? KDistances(columns, options.min_pts)
-                                      : KDistances(points, options.min_pts);
+    kdist = KDistances(columns, options.min_pts);
   }
   double max_kdist = kdist.empty()
                          ? 0.0
@@ -128,9 +107,7 @@ DetectionResult DetectAnomalies(const tsdata::Dataset& dataset,
   DbscanResult clusters;
   {
     TRACE_SPAN("detect.dbscan");
-    clusters = options.use_batch_kernels
-                   ? Dbscan(columns, result.epsilon, options.min_pts)
-                   : Dbscan(points, result.epsilon, options.min_pts);
+    clusters = Dbscan(columns, result.epsilon, options.min_pts);
   }
 
   // 4. Rows in clusters smaller than cluster_fraction of the data are the

@@ -42,11 +42,6 @@ struct AnomalyDetectorOptions {
   /// the column's normalized finite median so it can neither form nor break
   /// a cluster. 0 disables the gate.
   double min_attribute_quality = 0.75;
-  /// Route normalization and the DBSCAN distance sweeps through the
-  /// dispatched SIMD kernels over the dimension-major column layout
-  /// (DESIGN.md §12). false = the historical row-major path. Detections
-  /// are identical either way (same arithmetic per point pair).
-  bool use_batch_kernels = true;
 };
 
 /// Output of automatic detection: the abnormal region (contiguous runs of

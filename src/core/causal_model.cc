@@ -10,27 +10,9 @@ double ModelConfidence(const CausalModel& model,
                        const tsdata::Dataset& dataset,
                        const tsdata::LabeledRows& rows,
                        const PredicateGenOptions& options) {
-  // Cache-free path for one-off scoring: builds each predicate's space
-  // directly (BuildConfidenceSpace fuses the range/anchor sweeps).
-  // Repository ranking shares one PartitionSpaceCache across all models
-  // instead (see ModelRepository::Rank).
-  if (model.predicates.empty()) return 0.0;
-  // One run decomposition shared by every predicate's column sweeps.
-  std::optional<DiagnosisRuns> runs;
-  if (options.use_batch_kernels) {
-    runs = BuildDiagnosisRuns(rows);
-  }
-  double total = 0.0;
-  for (const Predicate& pred : model.predicates) {
-    auto attr = dataset.schema().IndexOf(pred.attribute);
-    if (!attr.ok()) continue;  // contributes 0
-    if (runs.has_value()) NoteDiagnosisRunsReused();
-    std::optional<PartitionSpace> space = BuildConfidenceSpace(
-        dataset, rows, *attr, options, runs.has_value() ? &*runs : nullptr);
-    if (!space.has_value()) continue;
-    total += PartitionSeparationPower(pred, *space);
-  }
-  return 100.0 * total / static_cast<double>(model.predicates.size());
+  PartitionSpaceCache cache(dataset, rows, options);
+  cache.Prepare(std::span<const CausalModel>(&model, 1));
+  return ModelConfidence(model, cache);
 }
 
 namespace {

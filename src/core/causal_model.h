@@ -34,10 +34,10 @@ struct CausalModel {
 /// effect predicates measured over the *partition space* of the current
 /// data (not the raw tuples, to damp noise). Returned as a percentage in
 /// [-100, 100]. Predicates whose attribute is missing from the dataset (or
-/// constant in it) contribute zero. When scoring many models against the
-/// same anomaly, prefer the PartitionSpaceCache overload (partition_cache.h)
-/// that ModelRepository::Rank uses — it labels each attribute's space once
-/// for the whole repository instead of once per model.
+/// constant in it) contribute zero. This is the PartitionSpaceCache
+/// overload (partition_cache.h) over a cache of this one model; scoring
+/// many models against the same anomaly shares one cache across them, as
+/// ModelRepository::Rank does.
 double ModelConfidence(const CausalModel& model,
                        const tsdata::Dataset& dataset,
                        const tsdata::LabeledRows& rows,

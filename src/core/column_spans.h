@@ -5,15 +5,16 @@
 //
 // LabeledRows lists row indices one by one, but the lists come from time
 // ranges and are therefore (nearly always) a handful of contiguous runs.
-// The batch kernel paths exploit that: decompose the index lists into runs
-// ONCE per diagnosis, then every attribute sweep, partition labeling and
-// separation-power count walks `values + run.begin` as a contiguous column
-// span through the SIMD kernels instead of gathering row by row.
+// Every diagnosis stage exploits that: the index lists are decomposed into
+// runs ONCE per diagnosis, then every attribute sweep, partition labeling
+// and separation-power count walks `values + run.begin` as a contiguous
+// column span through the SIMD kernels instead of gathering row by row.
 //
-// A DiagnosisRuns is built once (GeneratePredicates, PartitionSpaceCache::
-// Prepare, ModelConfidence) and shared across all attributes/models of that
-// diagnosis; the column_spans.runs_built / column_spans.runs_reused
-// counters make the reuse rate observable (tools/dbsherlock metrics).
+// A DiagnosisRuns is built once (GeneratePredicates, the
+// PartitionSpaceCache behind ModelRepository::Rank and ModelConfidence) and
+// shared across all attributes/models of that diagnosis; the
+// column_spans.runs_built / column_spans.runs_reused counters make the
+// reuse rate observable (tools/dbsherlock metrics).
 
 #include <cstddef>
 #include <span>

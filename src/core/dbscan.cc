@@ -8,31 +8,6 @@
 
 namespace dbsherlock::core {
 
-namespace {
-
-double SquaredDistance(const std::vector<double>& a,
-                       const std::vector<double>& b) {
-  double acc = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
-std::vector<size_t> Neighbors(const std::vector<std::vector<double>>& points,
-                              size_t p, double eps_sq) {
-  std::vector<size_t> out;
-  for (size_t q = 0; q < points.size(); ++q) {
-    if (q != p && SquaredDistance(points[p], points[q]) <= eps_sq) {
-      out.push_back(q);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<size_t> DbscanResult::ClusterSizes() const {
   std::vector<size_t> sizes(static_cast<size_t>(num_clusters), 0);
   for (int c : cluster_of) {
@@ -41,74 +16,13 @@ std::vector<size_t> DbscanResult::ClusterSizes() const {
   return sizes;
 }
 
-DbscanResult Dbscan(const std::vector<std::vector<double>>& points,
-                    double eps, int min_pts) {
-  DbscanResult result;
-  const size_t n = points.size();
-  constexpr int kUnvisited = -2;
-  constexpr int kNoise = -1;
-  result.cluster_of.assign(n, kUnvisited);
-  double eps_sq = eps * eps;
-  int cluster = 0;
-
-  for (size_t p = 0; p < n; ++p) {
-    if (result.cluster_of[p] != kUnvisited) continue;
-    std::vector<size_t> seeds = Neighbors(points, p, eps_sq);
-    // A core point has at least min_pts points in its eps-ball, itself
-    // included.
-    if (static_cast<int>(seeds.size()) + 1 < min_pts) {
-      result.cluster_of[p] = kNoise;
-      continue;
-    }
-    result.cluster_of[p] = cluster;
-    std::deque<size_t> queue(seeds.begin(), seeds.end());
-    while (!queue.empty()) {
-      size_t q = queue.front();
-      queue.pop_front();
-      if (result.cluster_of[q] == kNoise) {
-        result.cluster_of[q] = cluster;  // border point
-      }
-      if (result.cluster_of[q] != kUnvisited) continue;
-      result.cluster_of[q] = cluster;
-      std::vector<size_t> q_neighbors = Neighbors(points, q, eps_sq);
-      if (static_cast<int>(q_neighbors.size()) + 1 >= min_pts) {
-        for (size_t r : q_neighbors) queue.push_back(r);
-      }
-    }
-    ++cluster;
-  }
-  result.num_clusters = cluster;
-  return result;
-}
-
-std::vector<double> KDistances(const std::vector<std::vector<double>>& points,
-                               int k) {
-  const size_t n = points.size();
-  std::vector<double> out(n, 0.0);
-  if (k <= 0) return out;
-  for (size_t p = 0; p < n; ++p) {
-    std::vector<double> dists;
-    dists.reserve(n - 1);
-    for (size_t q = 0; q < n; ++q) {
-      if (q != p) dists.push_back(SquaredDistance(points[p], points[q]));
-    }
-    if (dists.empty()) continue;
-    size_t rank = std::min<size_t>(static_cast<size_t>(k) - 1,
-                                   dists.size() - 1);
-    std::nth_element(dists.begin(), dists.begin() + rank, dists.end());
-    out[p] = std::sqrt(dists[rank]);
-  }
-  return out;
-}
-
 namespace {
 
-/// Batch neighbor query: one kernel sweep fills `dist_sq` with point p's
-/// squared distances to every point, then the eps-ball is read off the
-/// buffer (self excluded by index, exactly like the row-major form).
-std::vector<size_t> NeighborsColumns(const PointColumns& points, size_t p,
-                                     double eps_sq,
-                                     std::vector<double>* dist_sq) {
+/// Neighbor query: one kernel sweep fills `dist_sq` with point p's squared
+/// distances to every point, then the eps-ball is read off the buffer
+/// (self excluded by index).
+std::vector<size_t> Neighbors(const PointColumns& points, size_t p,
+                              double eps_sq, std::vector<double>* dist_sq) {
   common::simd::SquaredDistancesToAll(points.columns.data(), points.dims(),
                                       points.num_points, p, dist_sq->data());
   std::vector<size_t> out;
@@ -132,7 +46,9 @@ DbscanResult Dbscan(const PointColumns& points, double eps, int min_pts) {
 
   for (size_t p = 0; p < n; ++p) {
     if (result.cluster_of[p] != kUnvisited) continue;
-    std::vector<size_t> seeds = NeighborsColumns(points, p, eps_sq, &dist_sq);
+    std::vector<size_t> seeds = Neighbors(points, p, eps_sq, &dist_sq);
+    // A core point has at least min_pts points in its eps-ball, itself
+    // included.
     if (static_cast<int>(seeds.size()) + 1 < min_pts) {
       result.cluster_of[p] = kNoise;
       continue;
@@ -147,8 +63,7 @@ DbscanResult Dbscan(const PointColumns& points, double eps, int min_pts) {
       }
       if (result.cluster_of[q] != kUnvisited) continue;
       result.cluster_of[q] = cluster;
-      std::vector<size_t> q_neighbors =
-          NeighborsColumns(points, q, eps_sq, &dist_sq);
+      std::vector<size_t> q_neighbors = Neighbors(points, q, eps_sq, &dist_sq);
       if (static_cast<int>(q_neighbors.size()) + 1 >= min_pts) {
         for (size_t r : q_neighbors) queue.push_back(r);
       }

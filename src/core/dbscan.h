@@ -16,18 +16,6 @@ struct DbscanResult {
   std::vector<size_t> ClusterSizes() const;
 };
 
-/// Density-based clustering (Ester et al., KDD'96), Euclidean metric,
-/// O(n^2) neighbor search — ample for the per-dataset row counts DBSherlock
-/// handles. `points` is row-major: points[i] is the i-th point; all points
-/// must share the same dimension.
-DbscanResult Dbscan(const std::vector<std::vector<double>>& points,
-                    double eps, int min_pts);
-
-/// Distance of each point to its k-th nearest *other* neighbor — the
-/// k-dist list the paper uses to pick epsilon (eps = max(Lk) / 4).
-std::vector<double> KDistances(const std::vector<std::vector<double>>& points,
-                               int k);
-
 /// Dimension-major view of a point set: columns[k][q] is coordinate k of
 /// point q, each column `num_points` long. This is the layout the anomaly
 /// detector already holds its selected attributes in, and the layout the
@@ -39,11 +27,16 @@ struct PointColumns {
   size_t dims() const { return columns.size(); }
 };
 
-/// Batch forms over the dimension-major layout: one kernel sweep computes
-/// a query point's distances to all points. Same arithmetic per point pair
-/// (coordinates accumulate in dimension order) as the row-major forms, so
-/// clusterings are identical.
+/// Density-based clustering (Ester et al., KDD'96), Euclidean metric,
+/// O(n^2) neighbor search — ample for the per-dataset row counts DBSherlock
+/// handles. Each neighbor query is one kernel sweep of the query point's
+/// squared distances to all points, accumulated in dimension order.
 DbscanResult Dbscan(const PointColumns& points, double eps, int min_pts);
+
+/// Distance of each point to its k-th nearest *other* neighbor — the
+/// k-dist list the paper uses to pick epsilon (eps = max(Lk) / 4). k
+/// beyond the point count clamps to the farthest neighbor; k <= 0 gives
+/// zeros.
 std::vector<double> KDistances(const PointColumns& points, int k);
 
 }  // namespace dbsherlock::core

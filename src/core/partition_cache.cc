@@ -34,18 +34,14 @@ struct CacheMetrics {
 }  // namespace
 
 std::optional<PartitionSpace> BuildConfidenceSpace(
-    const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
-    size_t attr_index, const PredicateGenOptions& options,
-    const DiagnosisRuns* runs) {
-  if (rows.abnormal.empty() || rows.normal.empty()) return std::nullopt;
+    const tsdata::Dataset& dataset, const DiagnosisRuns& runs,
+    size_t attr_index, const PredicateGenOptions& options) {
+  if (runs.abnormal_rows == 0 || runs.normal_rows == 0) return std::nullopt;
   const tsdata::Column& col = dataset.column(attr_index);
   if (col.kind() != tsdata::AttributeKind::kNumeric) {
-    return BuildLabeledPartitionSpace(dataset, rows, attr_index, options,
-                                      nullptr, runs);
+    return BuildLabeledPartitionSpace(dataset, runs, attr_index, options);
   }
-  AttributeProfile profile =
-      runs != nullptr ? ProfileAttribute(col.numeric_values(), *runs)
-                      : ProfileAttribute(col.numeric_values(), rows);
+  AttributeProfile profile = ProfileAttribute(col.numeric_values(), runs);
   // Same degradation gate as predicate generation: an attribute too
   // corrupted to trust contributes 0 to every model's confidence rather
   // than a separation power computed from mostly-missing data.
@@ -53,13 +49,18 @@ std::optional<PartitionSpace> BuildConfidenceSpace(
       profile.quality() < options.min_attribute_quality) {
     return std::nullopt;
   }
-  std::optional<PartitionSpace> space = BuildLabeledPartitionSpace(
-      dataset, rows, attr_index, options, &profile, runs);
+  std::optional<PartitionSpace> space =
+      BuildLabeledPartitionSpace(dataset, runs, attr_index, options, &profile);
   if (space.has_value()) {
     PlantNormalAnchorIfNeeded(&*space, profile.normal_mean());
   }
   return space;
 }
+
+PartitionSpaceCache::PartitionSpaceCache(const tsdata::Dataset& dataset,
+                                         const tsdata::LabeledRows& rows,
+                                         const PredicateGenOptions& options)
+    : dataset_(dataset), runs_(BuildDiagnosisRuns(rows)), options_(options) {}
 
 PartitionSpaceCache::~PartitionSpaceCache() {
   CacheMetrics::Get().evictions->Increment(spaces_.size());
@@ -80,18 +81,11 @@ void PartitionSpaceCache::Prepare(std::span<const CausalModel> models) {
       attrs.push_back(*attr);
     }
   }
-  // One run decomposition shared by every attribute's sweeps (the batch
-  // kernels then stream contiguous column spans; see core/column_spans.h).
-  std::optional<DiagnosisRuns> runs;
-  if (options_.use_batch_kernels) {
-    runs = BuildDiagnosisRuns(rows_);
-  }
   std::vector<std::optional<PartitionSpace>> built = common::ParallelMap(
       attrs.size(),
       [&](size_t i) {
-        if (runs.has_value()) NoteDiagnosisRunsReused();
-        return BuildConfidenceSpace(dataset_, rows_, attrs[i], options_,
-                                    runs.has_value() ? &*runs : nullptr);
+        NoteDiagnosisRunsReused();
+        return BuildConfidenceSpace(dataset_, runs_, attrs[i], options_);
       },
       options_.parallelism);
   for (size_t i = 0; i < attrs.size(); ++i) {

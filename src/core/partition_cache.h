@@ -23,19 +23,18 @@ namespace dbsherlock::core {
 /// Lifetime and invalidation: a cache is valid only for one (dataset, row
 /// split, options) triple, all of which are immutable during a diagnosis,
 /// so the cache lives at most for one Rank call and is never invalidated —
-/// it is simply discarded. Entries include the skewed-attribute normal
-/// anchor (PlantNormalAnchorIfNeeded), i.e. they are exactly the spaces
-/// historical ModelConfidence built per model.
+/// it is simply discarded. Entries are BuildConfidenceSpace's spaces,
+/// skewed-attribute normal anchor included.
 ///
 /// Threading: Prepare() builds all entries (fanning out over attributes);
 /// afterwards the cache is read-only, so concurrent Find()/Get() from the
 /// parallel model-scoring loop need no locks.
 class PartitionSpaceCache {
  public:
+  /// Decomposes `rows` into runs once; every entry's sweeps share them.
   PartitionSpaceCache(const tsdata::Dataset& dataset,
                       const tsdata::LabeledRows& rows,
-                      const PredicateGenOptions& options)
-      : dataset_(dataset), rows_(rows), options_(options) {}
+                      const PredicateGenOptions& options);
 
   /// Counts the discarded entries as `partition_cache.evictions` (this
   /// cache never evicts mid-inquiry; entries die with the Rank call).
@@ -56,13 +55,9 @@ class PartitionSpaceCache {
   /// (constant numeric columns, empty regions).
   const std::optional<PartitionSpace>* Find(const std::string& attribute) const;
 
-  const tsdata::Dataset& dataset() const { return dataset_; }
-  const tsdata::LabeledRows& rows() const { return rows_; }
-  const PredicateGenOptions& options() const { return options_; }
-
  private:
   const tsdata::Dataset& dataset_;
-  const tsdata::LabeledRows& rows_;
+  const DiagnosisRuns runs_;
   const PredicateGenOptions& options_;
   std::unordered_map<size_t, std::optional<PartitionSpace>> spaces_;
 };
@@ -71,15 +66,12 @@ class PartitionSpaceCache {
 /// power over): the labeled-only partition space of
 /// BuildLabeledPartitionSpace plus, for heavily skewed numeric attributes,
 /// the planted normal anchor (PlantNormalAnchorIfNeeded). One fused
-/// profile sweep feeds both the space range and the anchor mean. Shared by
-/// PartitionSpaceCache::Prepare and the cache-free ModelConfidence path.
-/// `runs`, when supplied, must be BuildDiagnosisRuns(rows); it routes the
-/// sweeps through the batch kernels and is shared across the attributes of
-/// one inquiry (nullptr = row-at-a-time path).
+/// profile sweep feeds both the space range and the anchor mean. Returns
+/// std::nullopt where BuildLabeledPartitionSpace does, and for an attribute
+/// below options.min_attribute_quality.
 std::optional<PartitionSpace> BuildConfidenceSpace(
-    const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
-    size_t attr_index, const PredicateGenOptions& options,
-    const DiagnosisRuns* runs = nullptr);
+    const tsdata::Dataset& dataset, const DiagnosisRuns& runs,
+    size_t attr_index, const PredicateGenOptions& options);
 
 /// Eq. (3) confidence of `model` against the anomaly captured by `cache`
 /// (see ModelConfidence in causal_model.h), reading every partition space

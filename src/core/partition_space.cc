@@ -59,32 +59,6 @@ size_t PartitionSpace::CountWithLabel(PartitionLabel l) const {
 }
 
 void LabelNumericPartitions(std::span<const double> values,
-                            const tsdata::LabeledRows& rows,
-                            PartitionSpace* space) {
-  std::vector<uint32_t> abnormal_count(space->size(), 0);
-  std::vector<uint32_t> normal_count(space->size(), 0);
-  // Non-finite cells vote for no partition: a NaN-poisoned row must not
-  // label partition 0 (or +-Inf's clamped edge) abnormal/normal.
-  for (size_t row : rows.abnormal) {
-    if (!std::isfinite(values[row])) continue;
-    ++abnormal_count[space->PartitionOf(values[row])];
-  }
-  for (size_t row : rows.normal) {
-    if (!std::isfinite(values[row])) continue;
-    ++normal_count[space->PartitionOf(values[row])];
-  }
-  for (size_t j = 0; j < space->size(); ++j) {
-    if (abnormal_count[j] > 0 && normal_count[j] == 0) {
-      space->set_label(j, PartitionLabel::kAbnormal);
-    } else if (normal_count[j] > 0 && abnormal_count[j] == 0) {
-      space->set_label(j, PartitionLabel::kNormal);
-    } else {
-      space->set_label(j, PartitionLabel::kEmpty);
-    }
-  }
-}
-
-void LabelNumericPartitions(std::span<const double> values,
                             const DiagnosisRuns& runs,
                             PartitionSpace* space) {
   const size_t num = space->size();
@@ -143,32 +117,10 @@ void LabelNumericPartitions(std::span<const double> values,
 }
 
 void LabelCategoricalPartitions(std::span<const int32_t> codes,
-                                const tsdata::LabeledRows& rows,
-                                PartitionSpace* space) {
-  std::vector<uint32_t> abnormal_count(space->size(), 0);
-  std::vector<uint32_t> normal_count(space->size(), 0);
-  for (size_t row : rows.abnormal) {
-    ++abnormal_count[static_cast<size_t>(codes[row])];
-  }
-  for (size_t row : rows.normal) {
-    ++normal_count[static_cast<size_t>(codes[row])];
-  }
-  for (size_t j = 0; j < space->size(); ++j) {
-    if (abnormal_count[j] > normal_count[j]) {
-      space->set_label(j, PartitionLabel::kAbnormal);
-    } else if (normal_count[j] > abnormal_count[j]) {
-      space->set_label(j, PartitionLabel::kNormal);
-    } else {
-      space->set_label(j, PartitionLabel::kEmpty);
-    }
-  }
-}
-
-void LabelCategoricalPartitions(std::span<const int32_t> codes,
                                 const DiagnosisRuns& runs,
                                 PartitionSpace* space) {
   const size_t num = space->size();
-  // Same interleaved sub-histogram trick as the numeric runs overload:
+  // Same interleaved sub-histogram trick as LabelNumericPartitions:
   // consecutive rows usually carry the same category code, and one count
   // array would serialize the increments on a store-to-load dependency.
   std::vector<uint32_t> abnormal_count(4 * num, 0);

@@ -8,7 +8,6 @@
 
 #include "core/column_spans.h"
 #include "tsdata/dataset.h"
-#include "tsdata/region.h"
 
 namespace dbsherlock::core {
 
@@ -73,30 +72,17 @@ class PartitionSpace {
 /// Labels a numeric partition space from the attribute's values and the
 /// user's regions (Section 4.2): a partition is Abnormal when every tuple
 /// in it is abnormal, Normal when every tuple is normal, Empty otherwise
-/// (no tuples, mixed tuples, or only ignored tuples).
-void LabelNumericPartitions(std::span<const double> values,
-                            const tsdata::LabeledRows& rows,
-                            PartitionSpace* space);
-
-/// Batch form of LabelNumericPartitions: each contiguous run of diagnosis
-/// rows goes through the dispatched PartitionIndices kernel (one division
-/// per cell, vectorized, non-finite cells yielding the skip sentinel)
-/// before the label votes are tallied. Produces identical labels to the
-/// row-at-a-time form.
+/// (no tuples, mixed tuples, or only ignored tuples). Each run of diagnosis
+/// rows goes through the dispatched PartitionIndices kernel, which maps a
+/// cell to the partition PartitionOf gives it; non-finite cells vote for
+/// no partition.
 void LabelNumericPartitions(std::span<const double> values,
                             const DiagnosisRuns& runs, PartitionSpace* space);
 
 /// Labels a categorical partition space by majority count: Abnormal when
 /// strictly more abnormal than normal tuples carry the category, Normal
-/// when strictly fewer, Empty on ties (Section 4.2).
-void LabelCategoricalPartitions(std::span<const int32_t> codes,
-                                const tsdata::LabeledRows& rows,
-                                PartitionSpace* space);
-
-/// Batch form of LabelCategoricalPartitions: tallies each contiguous run of
-/// diagnosis rows as one sequential sweep over the codes column instead of
-/// gathering row by row. Produces identical labels to the row-at-a-time
-/// form (integer counts are exact).
+/// when strictly fewer, Empty on ties (Section 4.2). Each run of diagnosis
+/// rows is tallied as one sequential sweep over the codes column.
 void LabelCategoricalPartitions(std::span<const int32_t> codes,
                                 const DiagnosisRuns& runs,
                                 PartitionSpace* space);

@@ -41,6 +41,19 @@ uint64_t CountRunMatches(const Predicate& p, std::span<const double> values,
   return hits;
 }
 
+/// `matches[c]` is 1 when category code c satisfies the predicate.
+uint64_t CountRunMatches(const std::vector<uint8_t>& matches,
+                         std::span<const int32_t> codes,
+                         const std::vector<RowRun>& runs) {
+  uint64_t hits = 0;
+  for (const RowRun& run : runs) {
+    for (size_t row = run.begin; row < run.end; ++row) {
+      hits += matches[static_cast<size_t>(codes[row])];
+    }
+  }
+  return hits;
+}
+
 }  // namespace
 
 bool Predicate::MatchesNumeric(double value) const {
@@ -99,41 +112,32 @@ std::string Predicate::ToString() const {
 
 double SeparationPower(const Predicate& predicate,
                        const tsdata::Dataset& dataset,
-                       const tsdata::LabeledRows& rows) {
-  if (rows.abnormal.empty() || rows.normal.empty()) return 0.0;
-  size_t abnormal_hits = 0;
-  for (size_t row : rows.abnormal) {
-    if (predicate.MatchesRow(dataset, row)) ++abnormal_hits;
-  }
-  size_t normal_hits = 0;
-  for (size_t row : rows.normal) {
-    if (predicate.MatchesRow(dataset, row)) ++normal_hits;
-  }
-  return static_cast<double>(abnormal_hits) /
-             static_cast<double>(rows.abnormal.size()) -
-         static_cast<double>(normal_hits) /
-             static_cast<double>(rows.normal.size());
-}
-
-double SeparationPower(const Predicate& predicate,
-                       const tsdata::Dataset& dataset,
-                       const tsdata::LabeledRows& rows,
                        const DiagnosisRuns& runs) {
-  if (rows.abnormal.empty() || rows.normal.empty()) return 0.0;
-  if (!predicate.is_numeric()) {
-    return SeparationPower(predicate, dataset, rows);
-  }
+  if (runs.abnormal_rows == 0 || runs.normal_rows == 0) return 0.0;
   auto idx = dataset.schema().IndexOf(predicate.attribute);
-  if (!idx.ok()) return 0.0;  // MatchesRow answers false for every row
+  if (!idx.ok()) return 0.0;
   const tsdata::Column& col = dataset.column(*idx);
-  if (col.kind() != tsdata::AttributeKind::kNumeric) return 0.0;
-  std::span<const double> values = col.numeric_values();
-  uint64_t abnormal_hits = CountRunMatches(predicate, values, runs.abnormal);
-  uint64_t normal_hits = CountRunMatches(predicate, values, runs.normal);
+  uint64_t abnormal_hits = 0;
+  uint64_t normal_hits = 0;
+  if (predicate.is_numeric()) {
+    if (col.kind() != tsdata::AttributeKind::kNumeric) return 0.0;
+    std::span<const double> values = col.numeric_values();
+    abnormal_hits = CountRunMatches(predicate, values, runs.abnormal);
+    normal_hits = CountRunMatches(predicate, values, runs.normal);
+  } else {
+    if (col.kind() != tsdata::AttributeKind::kCategorical) return 0.0;
+    std::vector<uint8_t> matches(col.num_categories());
+    for (size_t c = 0; c < matches.size(); ++c) {
+      matches[c] = predicate.MatchesCategory(
+          col.CategoryName(static_cast<int32_t>(c)));
+    }
+    abnormal_hits = CountRunMatches(matches, col.codes(), runs.abnormal);
+    normal_hits = CountRunMatches(matches, col.codes(), runs.normal);
+  }
   return static_cast<double>(abnormal_hits) /
-             static_cast<double>(rows.abnormal.size()) -
+             static_cast<double>(runs.abnormal_rows) -
          static_cast<double>(normal_hits) /
-             static_cast<double>(rows.normal.size());
+             static_cast<double>(runs.normal_rows);
 }
 
 bool ConjunctMatchesRow(const std::vector<Predicate>& predicates,

@@ -6,7 +6,6 @@
 
 #include "core/column_spans.h"
 #include "tsdata/dataset.h"
-#include "tsdata/region.h"
 
 namespace dbsherlock::core {
 
@@ -53,20 +52,14 @@ struct Predicate {
 
 /// The separation power of Eq. (1): the fraction of abnormal tuples
 /// satisfying the predicate minus the fraction of normal tuples satisfying
-/// it. Ranges in [-1, 1]; higher separates better.
+/// it. Ranges in [-1, 1]; higher separates better. The attribute is
+/// resolved once; numeric predicates count each run of diagnosis rows with
+/// the dispatched CountMatches kernel (NaN cells match nothing), kInSet
+/// predicates count each run over the codes column through a per-category
+/// match table. A missing attribute, or one of the other kind, matches no
+/// row (power 0); so does an empty region.
 double SeparationPower(const Predicate& predicate,
                        const tsdata::Dataset& dataset,
-                       const tsdata::LabeledRows& rows);
-
-/// Batch fast path of Eq. (1): resolves the attribute once (the row-at-a-
-/// time form re-hashes the schema per row) and counts each contiguous run
-/// of diagnosis rows with the dispatched CountMatches kernel. Numeric
-/// predicates only take this path; kInSet falls back to the row loop.
-/// Matches the row-at-a-time result exactly (NaN cells match nothing in
-/// both forms).
-double SeparationPower(const Predicate& predicate,
-                       const tsdata::Dataset& dataset,
-                       const tsdata::LabeledRows& rows,
                        const DiagnosisRuns& runs);
 
 /// Evaluates a conjunct of predicates on one row (all must match). An empty

@@ -67,10 +67,9 @@ DataQualityWarning MakeQualityWarning(const std::string& attribute,
 /// (quality below min_attribute_quality) is skipped with a warning rather
 /// than allowed to emit a garbage predicate; an attribute with some bad
 /// cells is diagnosed over its finite cells only, and says so.
-AttributeOutcome DiagnoseAttribute(
-    const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
-    size_t attr, const PredicateGenOptions& options,
-    const DiagnosisRuns* runs) {
+AttributeOutcome DiagnoseAttribute(const tsdata::Dataset& dataset,
+                                   const DiagnosisRuns& runs, size_t attr,
+                                   const PredicateGenOptions& options) {
   const tsdata::AttributeSpec& spec = dataset.schema().attribute(attr);
   const tsdata::Column& col = dataset.column(attr);
   AttributeOutcome out;
@@ -84,8 +83,7 @@ AttributeOutcome DiagnoseAttribute(
     AttributeProfile profile;
     {
       TRACE_SPAN("predgen.profile_sweep");
-      profile = runs != nullptr ? ProfileAttribute(values, *runs)
-                                : ProfileAttribute(values, rows);
+      profile = ProfileAttribute(values, runs);
     }
     if (profile.non_finite_count > 0) {
       bool skip = options.min_attribute_quality > 0.0 &&
@@ -114,16 +112,14 @@ AttributeOutcome DiagnoseAttribute(
 
     {
       TRACE_SPAN("predgen.partition_space");
-      space = BuildFinalPartitionSpace(dataset, rows, attr, options, &profile,
-                                      runs);
+      space = BuildFinalPartitionSpace(dataset, runs, attr, options, &profile);
     }
     if (!space.has_value()) return out;
     std::optional<AbnormalBlock> block = SingleAbnormalBlock(*space);
     if (!block.has_value()) return out;
     pred = PredicateFromBlock(*space, *block, spec.name);
   } else {
-    space = BuildFinalPartitionSpace(dataset, rows, attr, options, nullptr,
-                                     runs);
+    space = BuildFinalPartitionSpace(dataset, runs, attr, options);
     if (!space.has_value()) return out;
     // Categorical: collect every Abnormal partition's category.
     Predicate p;
@@ -140,9 +136,7 @@ AttributeOutcome DiagnoseAttribute(
   if (!pred.has_value()) return out;
   AttributeDiagnosis diag;
   diag.predicate = std::move(*pred);
-  diag.separation_power =
-      runs != nullptr ? SeparationPower(diag.predicate, dataset, rows, *runs)
-                      : SeparationPower(diag.predicate, dataset, rows);
+  diag.separation_power = SeparationPower(diag.predicate, dataset, runs);
   diag.partition_separation_power =
       PartitionSeparationPower(diag.predicate, *space);
   diag.normalized_mean_diff = normalized_diff;
@@ -151,38 +145,6 @@ AttributeOutcome DiagnoseAttribute(
 }
 
 }  // namespace
-
-AttributeProfile ProfileAttribute(std::span<const double> values,
-                                  const tsdata::LabeledRows& rows) {
-  AttributeProfile profile;
-  bool first = true;
-  // NaN/Inf cells are excluded from min/max and the sums; on finite input
-  // the fold is bit-identical to the historical all-cells one.
-  auto fold = [&](size_t row, double* sum, size_t* count) {
-    double v = values[row];
-    if (!std::isfinite(v)) {
-      ++profile.non_finite_count;
-      return;
-    }
-    if (first) {
-      profile.min = profile.max = v;
-      first = false;
-    } else {
-      profile.min = std::min(profile.min, v);
-      profile.max = std::max(profile.max, v);
-    }
-    *sum += v;
-    ++*count;
-  };
-  for (size_t row : rows.abnormal) {
-    fold(row, &profile.abnormal_sum, &profile.abnormal_count);
-  }
-  for (size_t row : rows.normal) {
-    fold(row, &profile.normal_sum, &profile.normal_count);
-  }
-  profile.valid = !first;
-  return profile;
-}
 
 AttributeProfile ProfileAttribute(std::span<const double> values,
                                   const DiagnosisRuns& runs) {
@@ -230,29 +192,24 @@ const AttributeDiagnosis* PredicateGenResult::Find(
 }
 
 std::optional<PartitionSpace> BuildLabeledPartitionSpace(
-    const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
+    const tsdata::Dataset& dataset, const DiagnosisRuns& runs,
     size_t attr_index, const PredicateGenOptions& options,
-    const AttributeProfile* profile, const DiagnosisRuns* runs) {
-  if (rows.abnormal.empty() || rows.normal.empty()) return std::nullopt;
+    const AttributeProfile* profile) {
+  if (runs.abnormal_rows == 0 || runs.normal_rows == 0) return std::nullopt;
   const tsdata::Column& col = dataset.column(attr_index);
 
   if (col.kind() == tsdata::AttributeKind::kNumeric) {
     std::span<const double> values = col.numeric_values();
     AttributeProfile local;
     if (profile == nullptr) {
-      local = runs != nullptr ? ProfileAttribute(values, *runs)
-                              : ProfileAttribute(values, rows);
+      local = ProfileAttribute(values, runs);
       profile = &local;
     }
     if (!profile->valid || profile->max <= profile->min) return std::nullopt;
 
     PartitionSpace space = PartitionSpace::Numeric(profile->min, profile->max,
                                                    options.num_partitions);
-    if (runs != nullptr) {
-      LabelNumericPartitions(values, *runs, &space);
-    } else {
-      LabelNumericPartitions(values, rows, &space);
-    }
+    LabelNumericPartitions(values, runs, &space);
     return space;
   }
 
@@ -265,36 +222,29 @@ std::optional<PartitionSpace> BuildLabeledPartitionSpace(
   }
   if (categories.empty()) return std::nullopt;
   PartitionSpace space = PartitionSpace::Categorical(std::move(categories));
-  if (runs != nullptr) {
-    LabelCategoricalPartitions(col.codes(), *runs, &space);
-  } else {
-    LabelCategoricalPartitions(col.codes(), rows, &space);
-  }
+  LabelCategoricalPartitions(col.codes(), runs, &space);
   return space;
 }
 
 std::optional<PartitionSpace> BuildFinalPartitionSpace(
-    const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
+    const tsdata::Dataset& dataset, const DiagnosisRuns& runs,
     size_t attr_index, const PredicateGenOptions& options,
-    const AttributeProfile* profile, const DiagnosisRuns* runs) {
-  std::optional<PartitionSpace> space = BuildLabeledPartitionSpace(
-      dataset, rows, attr_index, options, profile, runs);
+    const AttributeProfile* profile) {
+  std::optional<PartitionSpace> space =
+      BuildLabeledPartitionSpace(dataset, runs, attr_index, options, profile);
   if (!space.has_value() || !space->is_numeric()) return space;
 
   TRACE_SPAN("predgen.filter_gap_fill");
   if (options.enable_filtering) FilterPartitions(&*space);
   if (options.enable_gap_filling) {
-    double anchor;
-    if (profile != nullptr) {
-      anchor = profile->normal_mean();
-    } else {
-      const tsdata::Column& col = dataset.column(attr_index);
-      AttributeProfile local =
-          runs != nullptr ? ProfileAttribute(col.numeric_values(), *runs)
-                          : ProfileAttribute(col.numeric_values(), rows);
-      anchor = local.normal_mean();
+    AttributeProfile local;
+    if (profile == nullptr) {
+      local = ProfileAttribute(dataset.column(attr_index).numeric_values(),
+                               runs);
+      profile = &local;
     }
-    FillPartitionGaps(&*space, options.anomaly_distance_multiplier, anchor);
+    FillPartitionGaps(&*space, options.anomaly_distance_multiplier,
+                      profile->normal_mean());
   }
   return space;
 }
@@ -344,10 +294,7 @@ PredicateGenResult GeneratePredicates(const tsdata::Dataset& dataset,
   // The run decomposition is hoisted out of the attribute loop: every
   // attribute's profile/labeling/separation sweep shares it (the kernels
   // then stream each run as one contiguous column span).
-  std::optional<DiagnosisRuns> runs;
-  if (options.use_batch_kernels) {
-    runs = BuildDiagnosisRuns(rows);
-  }
+  DiagnosisRuns runs = BuildDiagnosisRuns(rows);
 
   // Attributes are independent (Section 4 treats each in isolation), so the
   // loop fans out; merging in attribute order keeps the output identical to
@@ -355,9 +302,8 @@ PredicateGenResult GeneratePredicates(const tsdata::Dataset& dataset,
   std::vector<AttributeOutcome> per_attr = common::ParallelMap(
       dataset.num_attributes(),
       [&](size_t attr) {
-        if (runs.has_value()) NoteDiagnosisRunsReused();
-        return DiagnoseAttribute(dataset, rows, attr, options,
-                                 runs.has_value() ? &*runs : nullptr);
+        NoteDiagnosisRunsReused();
+        return DiagnoseAttribute(dataset, runs, attr, options);
       },
       options.parallelism);
   for (AttributeOutcome& outcome : per_attr) {

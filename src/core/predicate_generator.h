@@ -39,14 +39,6 @@ struct PredicateGenOptions {
   /// partition machinery. 0 disables the gate (NaN/Inf cells are still
   /// excluded from every statistic).
   double min_attribute_quality = 0.75;
-  /// Route the numeric column sweeps (profile, partition labeling,
-  /// separation power) through the dispatched SIMD kernels over contiguous
-  /// runs of diagnosis rows (DESIGN.md §12). false = the historical
-  /// row-at-a-time path, kept for A/B parity checks and as the benchmark
-  /// baseline. Predicates and labels are identical either way; region sums
-  /// may differ in the last float bits (lane-disciplined vs sequential
-  /// accumulation).
-  bool use_batch_kernels = true;
 };
 
 /// A per-attribute trust note attached to a diagnosis: the engine either
@@ -70,8 +62,7 @@ struct DataQualityWarning {
 /// Section 4.5, and the gap-filling normal anchor of Section 4.4.
 ///
 /// NaN/Inf cells never enter min/max or the region sums; they are counted
-/// in `non_finite_count` so callers can gate on quality(). On pristine
-/// telemetry the profile is bit-identical to the historical all-cells one.
+/// in `non_finite_count` so callers can gate on quality().
 struct AttributeProfile {
   double min = 0.0;
   double max = 0.0;
@@ -103,16 +94,10 @@ struct AttributeProfile {
   }
 };
 
-/// Computes the profile in one pass (abnormal rows first, then normal, so
-/// floating-point accumulation order matches the historical per-pass code).
-AttributeProfile ProfileAttribute(std::span<const double> values,
-                                  const tsdata::LabeledRows& rows);
-
-/// Batch form: profiles each contiguous run of diagnosis rows with the
-/// dispatched ProfileSpan kernel and combines the per-run results
-/// (abnormal runs first, then normal). min/max/counts match the
-/// row-at-a-time form exactly; the sums follow the kernels' lane
-/// discipline, so their last bits may differ from the sequential fold.
+/// Profiles each run of diagnosis rows with the dispatched ProfileSpan
+/// kernel and combines the per-run results, abnormal runs first, then
+/// normal. The sums follow the kernels' lane discipline, which every ISA
+/// shares, so the profile is the same on every host.
 AttributeProfile ProfileAttribute(std::span<const double> values,
                                   const DiagnosisRuns& runs);
 
@@ -159,12 +144,11 @@ PredicateGenResult GeneratePredicates(const tsdata::Dataset& dataset,
 /// one attribute, as used by predicate extraction. Returns std::nullopt for
 /// constant numeric attributes or when either region holds no rows.
 /// `profile`, when supplied, must be ProfileAttribute() of this attribute's
-/// values over `rows`; it spares the extra column sweeps (numeric only).
+/// values over `runs`; it spares the extra column sweeps (numeric only).
 std::optional<PartitionSpace> BuildFinalPartitionSpace(
-    const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
+    const tsdata::Dataset& dataset, const DiagnosisRuns& runs,
     size_t attr_index, const PredicateGenOptions& options,
-    const AttributeProfile* profile = nullptr,
-    const DiagnosisRuns* runs = nullptr);
+    const AttributeProfile* profile = nullptr);
 
 /// Builds the *labeled-only* partition space (Section 4.2's labeling, no
 /// filtering or gap filling) for one attribute. This is the space Eq. (3)
@@ -176,10 +160,9 @@ std::optional<PartitionSpace> BuildFinalPartitionSpace(
 /// constant numeric attributes or when either region holds no rows.
 /// `profile` as for BuildFinalPartitionSpace.
 std::optional<PartitionSpace> BuildLabeledPartitionSpace(
-    const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
+    const tsdata::Dataset& dataset, const DiagnosisRuns& runs,
     size_t attr_index, const PredicateGenOptions& options,
-    const AttributeProfile* profile = nullptr,
-    const DiagnosisRuns* runs = nullptr);
+    const AttributeProfile* profile = nullptr);
 
 /// Separation power of `predicate` measured over a labeled partition space
 /// (fraction of Abnormal partitions satisfied minus fraction of Normal

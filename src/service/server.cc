@@ -225,7 +225,9 @@ std::string HandleLine(Service& service, const std::string& line,
         retain = TenantManager::Retention{request.retain_bytes,
                                           request.retain_age_sec};
       }
-      Status status = service.Hello(request.tenant, request.schema, retain);
+      std::shared_ptr<Tenant> tenant;
+      Status status =
+          service.Hello(request.tenant, request.schema, retain, &tenant);
       if (!status.ok()) return ErrLine(status);
       std::string detail = common::StrFormat(
           "tenant %s attrs %zu", request.tenant.c_str(),
@@ -233,9 +235,8 @@ std::string HandleLine(Service& service, const std::string& line,
       // The durable high-water timestamp, when history exists: rows after
       // it did not survive a crash, so an idempotent writer resumes from
       // the first row strictly after this point.
-      auto tenant = service.tenants().Find(request.tenant);
-      if (tenant.ok() && (*tenant)->history != nullptr) {
-        if (auto last = (*tenant)->history->durable_last_ts()) {
+      if (tenant->history != nullptr) {
+        if (auto last = tenant->history->durable_last_ts()) {
           detail += common::StrFormat(" last_ts %.17g", *last);
         }
       }
@@ -243,7 +244,8 @@ std::string HandleLine(Service& service, const std::string& line,
     }
     case RequestOp::kAppend: {
       // CSV cells are typed against the tenant's schema here (the wire
-      // layer is schema-blind).
+      // layer is schema-blind), and the tenant found for that is the one
+      // the row is appended to.
       auto tenant = service.tenants().Find(request.tenant);
       if (!tenant.ok()) return ErrLine(tenant.status());
       const tsdata::Schema& schema = (*tenant)->schema;
@@ -265,7 +267,7 @@ std::string HandleLine(Service& service, const std::string& line,
       }
       std::optional<uint64_t> client_seq;
       if (request.has_client_seq) client_seq = request.client_seq;
-      auto outcome = service.Append(request.tenant, request.timestamp,
+      auto outcome = service.Append(std::move(*tenant), request.timestamp,
                                     std::move(cells), client_seq);
       if (!outcome.ok()) return ErrLine(outcome.status());
       if (!outcome->accepted) return RetryAfterLine(outcome->retry_after_ms);

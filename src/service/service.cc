@@ -129,27 +129,34 @@ Service::Service(Options options)
 
 Service::~Service() { Stop(); }
 
-Status Service::Hello(
-    const std::string& tenant, const tsdata::Schema& schema,
-    const std::optional<TenantManager::Retention>& retain) {
+Status Service::Hello(const std::string& tenant,
+                      const tsdata::Schema& schema,
+                      const std::optional<TenantManager::Retention>& retain,
+                      std::shared_ptr<Tenant>* found) {
   if (!accepting_.load()) {
     return Status::FailedPrecondition("service is stopping");
   }
   auto result = tenants_.Hello(tenant, schema, retain);
   if (!result.ok()) return result.status();
+  if (found != nullptr) *found = std::move(*result);
   return Status::OK();
 }
 
 Result<Service::AppendOutcome> Service::Append(
     const std::string& tenant, double timestamp,
     std::vector<tsdata::Cell> cells, std::optional<uint64_t> client_seq) {
+  auto found = tenants_.Find(tenant);
+  if (!found.ok()) return found.status();
+  return Append(std::move(*found), timestamp, std::move(cells), client_seq);
+}
+
+Result<Service::AppendOutcome> Service::Append(
+    std::shared_ptr<Tenant> t, double timestamp,
+    std::vector<tsdata::Cell> cells, std::optional<uint64_t> client_seq) {
   common::ScopedLatency timer(metrics_.append_us);
   if (!accepting_.load()) {
     return Status::FailedPrecondition("service is stopping");
   }
-  auto found = tenants_.Find(tenant);
-  if (!found.ok()) return found.status();
-  std::shared_ptr<Tenant> t = std::move(*found);
   DBSHERLOCK_RETURN_NOT_OK(CheckCells(t->schema, timestamp, cells));
 
   AppendOutcome outcome;
@@ -157,7 +164,7 @@ Result<Service::AppendOutcome> Service::Append(
   {
     std::lock_guard lock(t->mu);
     if (t->evicted) {
-      return Status::NotFound("tenant '" + tenant +
+      return Status::NotFound("tenant '" + t->name +
                               "' was evicted; HELLO again");
     }
     if (client_seq.has_value() && *client_seq <= t->last_client_seq) {
@@ -286,7 +293,6 @@ void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
       tenant->processed += batch.size();
       tenant->late_dropped = monitor.late_rows_dropped();
       tenant->duplicate_dropped = monitor.duplicate_rows_dropped();
-      tenant->non_finite_dropped = monitor.non_finite_rows_dropped();
       tenant->alerts = monitor.alerts_raised();
       tenant->drained.notify_all();
     }
@@ -667,8 +673,6 @@ common::JsonValue Service::StatsJson() const {
       entry["late_dropped"] = static_cast<double>(t->late_dropped);
       entry["duplicate_dropped"] =
           static_cast<double>(t->duplicate_dropped);
-      entry["non_finite_dropped"] =
-          static_cast<double>(t->non_finite_dropped);
       entry["alerts"] = static_cast<double>(t->alerts);
     }
     {

@@ -101,9 +101,12 @@ class Service {
 
   /// Registers (or idempotently re-greets) a tenant. `retain` carries
   /// HELLO's optional RETAIN clause through to the tenant's history store.
+  /// On success `*found`, when given, is the tenant, so the wire HELLO
+  /// reads its durable high-water mark without a second lookup.
   common::Status Hello(
       const std::string& tenant, const tsdata::Schema& schema,
-      const std::optional<TenantManager::Retention>& retain = std::nullopt);
+      const std::optional<TenantManager::Retention>& retain = std::nullopt,
+      std::shared_ptr<Tenant>* found = nullptr);
 
   /// Enqueues one row for `tenant`. Cells must match the tenant schema
   /// (checked here, before acking). Never blocks on a full queue.
@@ -112,6 +115,14 @@ class Service {
   /// enqueueing the row again.
   common::Result<AppendOutcome> Append(
       const std::string& tenant, double timestamp,
+      std::vector<tsdata::Cell> cells,
+      std::optional<uint64_t> client_seq = std::nullopt);
+
+  /// As above, for a tenant the caller already looked up (the wire APPEND
+  /// types its cells against the tenant's schema first): each row is one
+  /// lookup and one LRU use.
+  common::Result<AppendOutcome> Append(
+      std::shared_ptr<Tenant> tenant, double timestamp,
       std::vector<tsdata::Cell> cells,
       std::optional<uint64_t> client_seq = std::nullopt);
 
@@ -159,8 +170,8 @@ class Service {
 
   /// Service-wide counters (STATS verb), with a per-tenant block: acked,
   /// processed, shed, queue_depth, the monitor's late_dropped /
-  /// duplicate_dropped / non_finite_dropped / alerts, diagnoses and the
-  /// history store's counters. Reading STATS is not a tenant "use": it
+  /// duplicate_dropped / alerts, diagnoses and the history store's
+  /// counters. Reading STATS is not a tenant "use": it
   /// leaves the eviction LRU order alone.
   common::JsonValue StatsJson() const;
 

@@ -71,7 +71,6 @@ struct Tenant {
   /// itself stays single-drainer. They die with the tenant.
   uint64_t late_dropped = 0;
   uint64_t duplicate_dropped = 0;
-  uint64_t non_finite_dropped = 0;
   uint64_t alerts = 0;
   /// Highest client idempotency seq applied (APPENDSEQ); 0 = none yet.
   /// Guarded by mu. Per server incarnation — not persisted: across a

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/csv.h"
 #include "common/json.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "core/partition_space.h"
+#include "core/predicate.h"
 #include "core/predicate_generator.h"
 #include "tsdata/dataset_io.h"
 
@@ -132,6 +135,127 @@ TEST_P(SeededProperty, LargerDeltaNeverGrowsTheAbnormalSide) {
     FillPartitionGaps(&large, 8.0, 0.0);
     EXPECT_LE(large.CountWithLabel(PartitionLabel::kAbnormal),
               small.CountWithLabel(PartitionLabel::kAbnormal));
+  }
+}
+
+/// A random split of rows [0, n) into abnormal, normal and ignored rows,
+/// each region partly shuffled: non-contiguous and unsorted, so its run
+/// decomposition has many short runs, some of them out of order.
+tsdata::LabeledRows RandomRows(common::Pcg32* rng, size_t n) {
+  tsdata::LabeledRows rows;
+  for (size_t row = 0; row < n; ++row) {
+    switch (rng->NextBounded(3)) {
+      case 0:
+        rows.abnormal.push_back(row);
+        break;
+      case 1:
+        rows.normal.push_back(row);
+        break;
+      default:
+        break;  // ignored
+    }
+  }
+  for (std::vector<size_t>* region : {&rows.abnormal, &rows.normal}) {
+    for (size_t i = 0; i + 1 < region->size(); i += 2 + rng->NextBounded(6)) {
+      std::swap((*region)[i], (*region)[rng->NextBounded(
+                                  static_cast<uint32_t>(region->size()))]);
+    }
+  }
+  return rows;
+}
+
+/// A finite value in [-50, 150], or NaN/+Inf/-Inf one time in ten.
+double RandomCell(common::Pcg32* rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                            -kInf};
+  return rng->NextBernoulli(0.1) ? special[rng->NextBounded(3)]
+                                 : rng->NextDouble(-50.0, 150.0);
+}
+
+TEST_P(SeededProperty, NumericLabelingMatchesAPerRowTally) {
+  // The reference is Section 4.2's rule applied row by row: each finite
+  // cell votes for PartitionOf(value), non-finite cells vote for nothing.
+  // The space covers only part of the value range, so both edges clamp.
+  common::Pcg32 rng(GetParam(), 10);
+  for (int trial = 0; trial < 20; ++trial) {
+    size_t n = 1 + rng.NextBounded(200);
+    std::vector<double> values(n);
+    for (double& v : values) v = RandomCell(&rng);
+    tsdata::LabeledRows rows = RandomRows(&rng, n);
+    PartitionSpace space = PartitionSpace::Numeric(
+        rng.NextDouble(-10.0, 20.0), rng.NextDouble(80.0, 110.0),
+        1 + rng.NextBounded(60));
+    std::vector<size_t> abnormal(space.size(), 0);
+    std::vector<size_t> normal(space.size(), 0);
+    for (size_t row : rows.abnormal) {
+      double v = values[row];
+      if (std::isfinite(v)) ++abnormal[space.PartitionOf(v)];
+    }
+    for (size_t row : rows.normal) {
+      double v = values[row];
+      if (std::isfinite(v)) ++normal[space.PartitionOf(v)];
+    }
+    std::vector<PartitionLabel> want(space.size(), PartitionLabel::kEmpty);
+    for (size_t j = 0; j < space.size(); ++j) {
+      if (abnormal[j] > 0 && normal[j] == 0) {
+        want[j] = PartitionLabel::kAbnormal;
+      } else if (normal[j] > 0 && abnormal[j] == 0) {
+        want[j] = PartitionLabel::kNormal;
+      }
+    }
+    core::LabelNumericPartitions(values, core::BuildDiagnosisRuns(rows),
+                                 &space);
+    EXPECT_EQ(space.labels(), want) << "trial " << trial;
+  }
+}
+
+TEST_P(SeededProperty, SeparationPowerMatchesAPerRowCount) {
+  // The reference is Eq. (1) counted row by row with Predicate::MatchesRow,
+  // including the cases where it matches nothing: a missing attribute and
+  // a predicate of the other kind than its column.
+  common::Pcg32 rng(GetParam(), 11);
+  const char* const categories[] = {"a", "b", "c", "d"};
+  for (int trial = 0; trial < 10; ++trial) {
+    tsdata::Dataset d(
+        tsdata::Schema({{"num", tsdata::AttributeKind::kNumeric},
+                        {"cat", tsdata::AttributeKind::kCategorical}}));
+    size_t n = 1 + rng.NextBounded(150);
+    for (size_t row = 0; row < n; ++row) {
+      ASSERT_TRUE(d.AppendRow(static_cast<double>(row),
+                              {RandomCell(&rng),
+                               std::string(categories[rng.NextBounded(4)])})
+                      .ok());
+    }
+    tsdata::LabeledRows rows = RandomRows(&rng, n);
+    double lo = rng.NextDouble(-50.0, 100.0);
+    double hi = lo + rng.NextDouble(0.0, 100.0);
+    std::vector<core::Predicate> predicates = {
+        {"num", core::PredicateType::kLessThan, 0.0, hi, {}},
+        {"num", core::PredicateType::kGreaterThan, lo, 0.0, {}},
+        {"num", core::PredicateType::kRange, lo, hi, {}},
+        {"cat", core::PredicateType::kInSet, 0.0, 0.0, {"b", "zz"}},
+        {"cat", core::PredicateType::kInSet, 0.0, 0.0, {"a", "c", "d"}},
+        {"nope", core::PredicateType::kGreaterThan, lo, 0.0, {}},
+        {"cat", core::PredicateType::kGreaterThan, lo, 0.0, {}},
+        {"num", core::PredicateType::kInSet, 0.0, 0.0, {"a"}},
+    };
+    core::DiagnosisRuns runs = core::BuildDiagnosisRuns(rows);
+    for (const core::Predicate& p : predicates) {
+      double want = 0.0;
+      if (!rows.abnormal.empty() && !rows.normal.empty()) {
+        size_t abnormal_hits = 0;
+        size_t normal_hits = 0;
+        for (size_t row : rows.abnormal) abnormal_hits += p.MatchesRow(d, row);
+        for (size_t row : rows.normal) normal_hits += p.MatchesRow(d, row);
+        want = static_cast<double>(abnormal_hits) /
+                   static_cast<double>(rows.abnormal.size()) -
+               static_cast<double>(normal_hits) /
+                   static_cast<double>(rows.normal.size());
+      }
+      EXPECT_EQ(core::SeparationPower(p, d, runs), want)
+          << p.ToString() << " trial " << trial;
+    }
   }
 }
 

@@ -63,7 +63,7 @@ TEST(LabelingTest, NumericPureAndMixedPartitions) {
   rows.abnormal = {1, 3};  // values 1.5, 2.5  (partition 1 is mixed)
   // Row 4 (3.5) belongs to neither region -> its partition stays Empty.
   PartitionSpace space = PartitionSpace::Numeric(0.0, 10.0, 10);
-  LabelNumericPartitions(values, rows, &space);
+  LabelNumericPartitions(values, BuildDiagnosisRuns(rows), &space);
   EXPECT_EQ(space.label(0), N);  // only value 0.5 (normal)
   EXPECT_EQ(space.label(1), E);  // mixed: 1.5 abnormal + 1.6 normal
   EXPECT_EQ(space.label(2), A);  // only 2.5 (abnormal)
@@ -77,7 +77,7 @@ TEST(LabelingTest, CategoricalMajorityRule) {
   rows.abnormal = {0, 1, 3, 5};  // codes 0,0,1,2
   rows.normal = {2, 4, 6};       // codes 0,1,2
   PartitionSpace space = PartitionSpace::Categorical({"x", "y", "z"});
-  LabelCategoricalPartitions(codes, rows, &space);
+  LabelCategoricalPartitions(codes, BuildDiagnosisRuns(rows), &space);
   EXPECT_EQ(space.label(0), A);  // 2 abnormal vs 1 normal
   EXPECT_EQ(space.label(1), E);  // tie 1-1
   EXPECT_EQ(space.label(2), E);  // tie 1-1
@@ -89,7 +89,7 @@ TEST(LabelingTest, CategoricalNormalMajority) {
   rows.abnormal = {0};
   rows.normal = {1, 2};
   PartitionSpace space = PartitionSpace::Categorical({"only"});
-  LabelCategoricalPartitions(codes, rows, &space);
+  LabelCategoricalPartitions(codes, BuildDiagnosisRuns(rows), &space);
   EXPECT_EQ(space.label(0), N);
 }
 

@@ -247,8 +247,9 @@ TEST(BuildFinalSpaceTest, NumericSpaceFullyLabeled) {
          return (ab ? 90.0 : 10.0) + rng.NextGaussian(0.0, 2.0);
        }},
   });
-  tsdata::LabeledRows rows = SplitRows(data.dataset, data.regions);
-  auto space = BuildFinalPartitionSpace(data.dataset, rows, 0, {});
+  DiagnosisRuns runs =
+      BuildDiagnosisRuns(SplitRows(data.dataset, data.regions));
+  auto space = BuildFinalPartitionSpace(data.dataset, runs, 0, {});
   ASSERT_TRUE(space.has_value());
   // After gap filling no Empty partitions remain.
   EXPECT_EQ(space->CountWithLabel(PartitionLabel::kEmpty), 0u);
@@ -260,8 +261,9 @@ TEST(BuildFinalSpaceTest, ConstantColumnGivesNullopt) {
   TestData data = MakeData<Gen>({
       {"c", [](int, bool) { return 1.0; }},
   });
-  tsdata::LabeledRows rows = SplitRows(data.dataset, data.regions);
-  EXPECT_FALSE(BuildFinalPartitionSpace(data.dataset, rows, 0, {}).has_value());
+  DiagnosisRuns runs =
+      BuildDiagnosisRuns(SplitRows(data.dataset, data.regions));
+  EXPECT_FALSE(BuildFinalPartitionSpace(data.dataset, runs, 0, {}).has_value());
 }
 
 TEST(PartitionSeparationPowerTest, MatchesLabeledSpace) {

@@ -92,7 +92,7 @@ TEST(SeparationPowerTest, PerfectSeparator) {
   rows.normal = {0, 1};
   rows.abnormal = {2, 3};
   Predicate p{"cpu", PredicateType::kGreaterThan, 50.0, 0.0, {}};
-  EXPECT_DOUBLE_EQ(SeparationPower(p, d, rows), 1.0);
+  EXPECT_DOUBLE_EQ(SeparationPower(p, d, BuildDiagnosisRuns(rows)), 1.0);
 }
 
 TEST(SeparationPowerTest, InverseSeparatorIsNegative) {
@@ -101,7 +101,7 @@ TEST(SeparationPowerTest, InverseSeparatorIsNegative) {
   rows.normal = {0, 1};
   rows.abnormal = {2, 3};
   Predicate p{"cpu", PredicateType::kLessThan, 0.0, 50.0, {}};
-  EXPECT_DOUBLE_EQ(SeparationPower(p, d, rows), -1.0);
+  EXPECT_DOUBLE_EQ(SeparationPower(p, d, BuildDiagnosisRuns(rows)), -1.0);
 }
 
 TEST(SeparationPowerTest, PartialSeparation) {
@@ -111,7 +111,7 @@ TEST(SeparationPowerTest, PartialSeparation) {
   rows.abnormal = {2, 3};
   // Matches rows 1,2,3 -> abnormal ratio 1.0, normal ratio 0.5.
   Predicate p{"cpu", PredicateType::kGreaterThan, 15.0, 0.0, {}};
-  EXPECT_DOUBLE_EQ(SeparationPower(p, d, rows), 0.5);
+  EXPECT_DOUBLE_EQ(SeparationPower(p, d, BuildDiagnosisRuns(rows)), 0.5);
 }
 
 TEST(SeparationPowerTest, EmptyRegionGivesZero) {
@@ -119,7 +119,7 @@ TEST(SeparationPowerTest, EmptyRegionGivesZero) {
   tsdata::LabeledRows rows;
   rows.abnormal = {2, 3};
   Predicate p{"cpu", PredicateType::kGreaterThan, 50.0, 0.0, {}};
-  EXPECT_DOUBLE_EQ(SeparationPower(p, d, rows), 0.0);
+  EXPECT_DOUBLE_EQ(SeparationPower(p, d, BuildDiagnosisRuns(rows)), 0.0);
 }
 
 TEST(ConjunctTest, AllMustMatch) {

@@ -16,6 +16,7 @@
 
 #include "common/metrics.h"
 #include "common/random.h"
+#include "service/server.h"
 
 namespace dbsherlock::service {
 namespace {
@@ -270,6 +271,33 @@ TEST(ServiceTest, StatsLeavesTheLruOrderAlone) {
   service.Stop();
 }
 
+TEST(ServiceTest, WireHelloAndAppendLookTheirTenantUpOnce) {
+  // Every tenant lookup is an LRU use that advances the shared clock. A
+  // wire HELLO reads the durable high-water mark from the tenant it
+  // registered, and a wire APPEND appends to the tenant it typed the
+  // cells against, so each request is exactly one use. Live() reads
+  // last_used without bumping it.
+  auto store = VolatileStore();
+  Service::Options options;
+  options.store = store.get();
+  Service service(options);
+  LineHandler handler = ServiceHandler(service);
+  auto last_used = [&] {
+    return service.tenants().Live().at(0)->last_used.load();
+  };
+  bool quit = false;
+  ASSERT_EQ(handler("HELLO t0 latency:num,cpu:num", &quit).rfind("OK", 0),
+            0u);
+  uint64_t used = last_used();
+  ASSERT_EQ(handler("APPEND t0 1 10,40", &quit), "OK 1");
+  EXPECT_EQ(last_used(), used + 1);
+  used = last_used();
+  ASSERT_EQ(handler("HELLO t0 latency:num,cpu:num", &quit).rfind("OK", 0),
+            0u);
+  EXPECT_EQ(last_used(), used + 1);
+  service.Stop();
+}
+
 TEST(ServiceTest, StatsReportsPerTenantMonitorDrops) {
   auto store = VolatileStore();
   Service::Options options;
@@ -289,7 +317,6 @@ TEST(ServiceTest, StatsReportsPerTenantMonitorDrops) {
   EXPECT_EQ(t0->GetNumber("processed").ValueOr(-1), 3.0);
   EXPECT_EQ(t0->GetNumber("late_dropped").ValueOr(-1), 1.0);
   EXPECT_EQ(t0->GetNumber("duplicate_dropped").ValueOr(-1), 1.0);
-  EXPECT_EQ(t0->GetNumber("non_finite_dropped").ValueOr(-1), 0.0);
   EXPECT_EQ(t0->GetNumber("alerts").ValueOr(-1), 0.0);
   // Counts are per tenant: t1's clean row drops nothing.
   const common::JsonValue* t1 = stats.Find("tenants")->Find("t1");

@@ -1,12 +1,9 @@
 // End-to-end parity for the SIMD kernel layer (DESIGN.md §12): full
-// diagnoses must be BIT-identical under forced scalar and AVX2 and
-// across --threads, on several simulated anomaly datasets. This is the
-// contract that makes runtime dispatch invisible: two hosts with different
-// vector units (or thread counts) produce byte-for-byte the same
-// explanation. The legacy row-at-a-time path is also A/B-checked against
-// the batch path (same predicates and separation powers; its region sums
-// accumulate in a different order, so normalized_mean_diff is compared
-// approximately there).
+// diagnoses and automatic detections must be BIT-identical under forced
+// scalar and AVX2, and diagnoses also across --threads, on several
+// simulated anomaly datasets. This is the contract that makes runtime
+// dispatch invisible: two hosts with different vector units (or thread
+// counts) produce byte-for-byte the same explanation.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +12,7 @@
 #include <vector>
 
 #include "common/simd/simd.h"
+#include "core/anomaly_detector.h"
 #include "core/explainer.h"
 #include "simulator/dataset_gen.h"
 
@@ -117,37 +115,25 @@ TEST(SimdExplainerParityTest, ExplanationsBitIdenticalAcrossThreads) {
   }
 }
 
-TEST(SimdExplainerParityTest, BatchMatchesRowAtATimePath) {
+TEST(SimdExplainerParityTest, DetectionsBitIdenticalAcrossIsas) {
   for (const Scenario& s : kScenarios) {
     simulator::GeneratedDataset run = Generate(s.kind, s.seed);
-    Explainer::Options batch;
-    Explainer::Options legacy;
-    legacy.predicate_options.use_batch_kernels = false;
-    legacy.detector_options.use_batch_kernels = false;
-    Explanation a = Explainer(batch).Diagnose(run.data, run.regions);
-    Explanation b = Explainer(legacy).Diagnose(run.data, run.regions);
-    ASSERT_EQ(a.predicates.size(), b.predicates.size());
-    for (size_t i = 0; i < a.predicates.size(); ++i) {
-      const AttributeDiagnosis& da = a.predicates[i];
-      const AttributeDiagnosis& db = b.predicates[i];
-      EXPECT_EQ(da.predicate.attribute, db.predicate.attribute);
-      EXPECT_EQ(da.predicate.type, db.predicate.type);
-      // Predicate bounds come from the partition space (min/max + labels),
-      // which the two paths derive identically.
-      EXPECT_TRUE(SameBits(da.predicate.low, db.predicate.low))
-          << da.predicate.attribute;
-      EXPECT_TRUE(SameBits(da.predicate.high, db.predicate.high))
-          << da.predicate.attribute;
-      EXPECT_TRUE(SameBits(da.separation_power, db.separation_power))
-          << da.predicate.attribute;
-      EXPECT_TRUE(SameBits(da.partition_separation_power,
-                           db.partition_separation_power))
-          << da.predicate.attribute;
-      // Region sums accumulate in different orders (lane-disciplined vs
-      // sequential): value-approximate, not bit-identical.
-      EXPECT_NEAR(da.normalized_mean_diff, db.normalized_mean_diff, 1e-9)
-          << da.predicate.attribute;
-    }
+    AnomalyDetectorOptions options;
+    simd::ScopedIsaOverride scalar(simd::Isa::kScalar);
+    ASSERT_TRUE(scalar.ok());
+    DetectionResult reference = DetectAnomalies(run.data, options);
+    // Features selected and clustered (the congestion scenario flags no
+    // rows at the default cluster cutoff; the other two do).
+    ASSERT_FALSE(reference.selected_attributes.empty());
+    ASSERT_GT(reference.epsilon, 0.0);
+    if (!simd::IsaSupported(simd::Isa::kAvx2)) continue;
+    simd::ScopedIsaOverride forced(simd::Isa::kAvx2);
+    ASSERT_TRUE(forced.ok());
+    DetectionResult avx2 = DetectAnomalies(run.data, options);
+    EXPECT_TRUE(SameBits(reference.epsilon, avx2.epsilon)) << s.seed;
+    EXPECT_EQ(reference.selected_attributes, avx2.selected_attributes)
+        << s.seed;
+    EXPECT_EQ(reference.abnormal_rows, avx2.abnormal_rows) << s.seed;
   }
 }
 
