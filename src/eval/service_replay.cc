@@ -4,11 +4,13 @@
 #include <chrono>
 #include <thread>
 
-#include "common/stats.h"
 #include "common/trace.h"
 #include "eval/experiment.h"
 #include "service/client.h"
 #include "service/server.h"
+#include "service/service.h"
+#include "simulator/anomaly.h"
+#include "simulator/dataset_gen.h"
 
 namespace dbsherlock::eval {
 
@@ -16,6 +18,21 @@ namespace {
 
 using common::Result;
 using common::Status;
+
+constexpr size_t kTenants = 8;
+/// The streamed anomaly must end up well under the detector's 20%
+/// small-cluster cutoff, so the normal stretch is 300 s against a 40 s
+/// anomaly (~12% of the stream).
+constexpr double kNormalDurationSec = 300.0;
+constexpr double kAnomalyDurationSec = 40.0;
+constexpr double kAnomalyMagnitude = 1.0;
+constexpr uint64_t kSeed = 20260805;
+/// Training datasets taught per anomaly class. TEACH goes through
+/// ModelRepository::Add, so two exercise the paper's merged models
+/// (Figure 8) — noticeably better margins on confusable cause pairs.
+constexpr size_t kTrainSetsPerCause = 2;
+/// Per-row retry budget when backpressured.
+constexpr int kMaxAppendRetries = 10000;
 
 bool Overlaps(const tsdata::RegionSpec& truth, double start, double end) {
   for (const tsdata::TimeRange& range : truth.ranges()) {
@@ -26,78 +43,28 @@ bool Overlaps(const tsdata::RegionSpec& truth, double start, double end) {
 
 }  // namespace
 
-ServiceReplayOptions::ServiceReplayOptions() {
-  // The streamed anomaly must end up well under the detector's 20%
-  // small-cluster cutoff, so the normal stretch is 300 s against a 40 s
-  // anomaly (~12% of the stream).
-  gen.normal_duration_sec = 300.0;
-  gen.seed = 20260805;
-  service.ingest_workers = 4;
-  service.diagnosis_workers = 2;
-}
-
-bool ServiceReplayResult::AllCorrect() const {
-  if (tenants.empty()) return false;
-  return std::all_of(tenants.begin(), tenants.end(),
-                     [](const TenantReplayOutcome& t) {
-                       return t.top1_correct && t.region_overlaps;
-                     });
-}
-
-common::JsonValue ServiceReplayResult::ToJson() const {
-  common::JsonValue::Object out;
-  out["wall_sec"] = wall_sec;
-  out["rows_per_sec"] = rows_per_sec;
-  out["mean_append_us"] = mean_append_us;
-  out["p99_append_us"] = p99_append_us;
-  out["rows_acked"] = static_cast<double>(rows_acked);
-  out["retries"] = static_cast<double>(retries);
-  out["shed_rate"] = shed_rate;
-  out["diagnoses_total"] = static_cast<double>(diagnoses_total);
-  out["diagnoses_per_sec"] = diagnoses_per_sec;
-  out["models_stored"] = static_cast<double>(models_stored);
-  out["all_correct"] = AllCorrect();
-  common::JsonValue::Array tenant_rows;
-  for (const TenantReplayOutcome& t : tenants) {
-    common::JsonValue::Object row;
-    row["tenant"] = t.tenant;
-    row["expected_cause"] = t.expected_cause;
-    row["top_cause"] = t.top_cause;
-    row["top1_correct"] = t.top1_correct;
-    row["region_overlaps"] = t.region_overlaps;
-    row["rows_sent"] = static_cast<double>(t.rows_sent);
-    row["retries"] = static_cast<double>(t.retries);
-    row["diagnoses"] = static_cast<double>(t.diagnoses);
-    tenant_rows.push_back(common::JsonValue(std::move(row)));
-  }
-  out["tenants"] = common::JsonValue(std::move(tenant_rows));
-  return common::JsonValue(std::move(out));
-}
-
 Result<ServiceReplayResult> RunServiceReplay(
-    const ServiceReplayOptions& options,
     service::DurableModelStore* store) {
   TRACE_SPAN("eval.service_replay");
-  const std::vector<simulator::AnomalyKind>& all =
-      options.kinds.empty() ? simulator::AllAnomalyKinds() : options.kinds;
-  if (all.empty() || options.num_tenants == 0) {
-    return Status::InvalidArgument("replay needs tenants and anomaly kinds");
-  }
+  service::Service::Options service_options;
+  service_options.ingest_workers = 4;
+  service_options.diagnosis_workers = 2;
+  service_options.store = store;
 
   // Per-tenant datasets and the models taught for their classes.
+  simulator::DatasetGenOptions gen;
+  gen.normal_duration_sec = kNormalDurationSec;
+  gen.seed = kSeed;
   TenantWorkload workload = PlanTenants(
-      all, options.num_tenants, options.gen, options.anomaly_duration_sec,
-      options.anomaly_magnitude, options.train_sets_per_cause,
-      options.service.explainer);
+      simulator::AllAnomalyKinds(), kTenants, gen, kAnomalyDurationSec,
+      kAnomalyMagnitude, kTrainSetsPerCause, service_options.explainer);
   const std::vector<TenantPlan>& plans = workload.tenants;
   const std::vector<core::CausalModel>& taught = workload.models;
 
-  service::Service::Options service_options = options.service;
-  service_options.store = store;
   service::Service service(service_options);
   service::Server::Options server_options;
   server_options.handler = service::ServiceHandler(service);
-  server_options.max_connections = options.num_tenants + 4;
+  server_options.max_connections = kTenants + 4;
   auto server = service::Server::Start(server_options);
   if (!server.ok()) return server.status();
 
@@ -113,12 +80,10 @@ Result<ServiceReplayResult> RunServiceReplay(
 
   struct TenantRun {
     TenantReplayOutcome outcome;
-    std::vector<double> append_us;
     Status status = Status::OK();
   };
   std::vector<TenantRun> runs(plans.size());
 
-  double start_us = common::Tracer::NowMicros();
   {
     std::vector<std::thread> threads;
     threads.reserve(plans.size());
@@ -137,16 +102,13 @@ Result<ServiceReplayResult> RunServiceReplay(
         run.status = (*client)->Hello(plan.name, plan.data.data.schema());
         if (!run.status.ok()) return;
         const tsdata::Dataset& data = plan.data.data;
-        run.append_us.reserve(data.num_rows());
         std::vector<tsdata::Cell> cells;
         for (size_t row = 0; row < data.num_rows(); ++row) {
           data.RowCells(row, &cells);
           int attempts = 0;
           for (;;) {
-            double t0 = common::Tracer::NowMicros();
             auto response = (*client)->Append(plan.name,
                                               data.timestamp(row), cells);
-            run.append_us.push_back(common::Tracer::NowMicros() - t0);
             if (!response.ok()) {
               run.status = response.status();
               return;
@@ -156,8 +118,7 @@ Result<ServiceReplayResult> RunServiceReplay(
               run.status = response->error;
               return;
             }
-            ++run.outcome.retries;
-            if (++attempts > options.max_append_retries) {
+            if (++attempts > kMaxAppendRetries) {
               run.status = Status::FailedPrecondition(
                   "append shed past the retry budget");
               return;
@@ -201,11 +162,8 @@ Result<ServiceReplayResult> RunServiceReplay(
     }
     for (std::thread& t : threads) t.join();
   }
-  double wall_us = common::Tracer::NowMicros() - start_us;
 
   ServiceReplayResult result;
-  result.wall_sec = wall_us / 1e6;
-  std::vector<double> all_lat;
   for (TenantRun& run : runs) {
     if (!run.status.ok()) {
       (*server)->Stop();
@@ -213,27 +171,9 @@ Result<ServiceReplayResult> RunServiceReplay(
       return run.status;
     }
     result.rows_acked += run.outcome.rows_sent;
-    result.retries += run.outcome.retries;
-    all_lat.insert(all_lat.end(), run.append_us.begin(),
-                   run.append_us.end());
     result.tenants.push_back(std::move(run.outcome));
   }
-  result.mean_append_us = common::Mean(all_lat);
-  result.p99_append_us = common::Quantile(all_lat, 0.99);
-  result.rows_per_sec =
-      result.wall_sec > 0
-          ? static_cast<double>(result.rows_acked) / result.wall_sec
-          : 0.0;
-  result.shed_rate =
-      (result.rows_acked + result.retries) > 0
-          ? static_cast<double>(result.retries) /
-                static_cast<double>(result.rows_acked + result.retries)
-          : 0.0;
   result.diagnoses_total = static_cast<size_t>(service.total_diagnoses());
-  result.diagnoses_per_sec =
-      result.wall_sec > 0
-          ? static_cast<double>(result.diagnoses_total) / result.wall_sec
-          : 0.0;
   if (store != nullptr) result.models_stored = store->num_models();
 
   (*server)->Stop();

@@ -5,44 +5,10 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/status.h"
 #include "service/model_store.h"
-#include "service/service.h"
-#include "simulator/anomaly.h"
-#include "simulator/dataset_gen.h"
 
 namespace dbsherlock::eval {
-
-/// End-to-end exerciser for dbsherlockd: boots a Service + TCP Server on
-/// an ephemeral port, teaches one pre-trained causal model per anomaly
-/// class over the wire, then drives N simulated tenants concurrently
-/// through the real socket path — each streaming a generated dataset with
-/// one injected anomaly — and checks that every tenant's anomaly is
-/// diagnosed with the correct cause ranked first. Doubles as the service
-/// benchmark (rows/sec, per-append wire latency, shed rate).
-struct ServiceReplayOptions {
-  size_t num_tenants = 8;
-  /// Anomaly classes assigned round-robin to tenants; empty = all classes.
-  std::vector<simulator::AnomalyKind> kinds;
-  /// Dataset shape per tenant. The anomaly must stay well under 20% of
-  /// the streamed rows for the detector's small-cluster rule, hence the
-  /// long normal stretch.
-  simulator::DatasetGenOptions gen;
-  double anomaly_duration_sec = 40.0;
-  double anomaly_magnitude = 1.0;
-  /// Service shape. `store` is injected by the caller (RunServiceReplay
-  /// overwrites it); monitor options are tuned for the streamed length.
-  service::Service::Options service;
-  /// Training datasets taught per anomaly class. TEACH goes through
-  /// ModelRepository::Add, so >1 exercises the paper's merged models
-  /// (Figure 8) — noticeably better margins on confusable cause pairs.
-  size_t train_sets_per_cause = 2;
-  /// Per-row retry budget when backpressured.
-  int max_append_retries = 10000;
-
-  ServiceReplayOptions();
-};
 
 /// One tenant's outcome.
 struct TenantReplayOutcome {
@@ -52,36 +18,31 @@ struct TenantReplayOutcome {
   bool top1_correct = false;
   bool region_overlaps = false;  // reported region hits the ground truth
   size_t rows_sent = 0;
-  size_t retries = 0;          // RETRY_AFTER responses honored
   size_t diagnoses = 0;
 };
 
 struct ServiceReplayResult {
-  double wall_sec = 0.0;
-  double rows_per_sec = 0.0;
-  double mean_append_us = 0.0;
-  double p99_append_us = 0.0;
   uint64_t rows_acked = 0;
-  uint64_t retries = 0;       // total backpressure round-trips
-  double shed_rate = 0.0;     // retries / (acked + retries)
   size_t diagnoses_total = 0;
-  double diagnoses_per_sec = 0.0;
   size_t models_stored = 0;
   std::vector<TenantReplayOutcome> tenants;
-
-  /// True when every tenant got >= 1 diagnosis with the correct cause
-  /// ranked top-1 over an overlapping region.
-  bool AllCorrect() const;
-
-  common::JsonValue ToJson() const;
 };
 
-/// Runs the replay. `store` is the shared durable model store the service
-/// ranks against (pre-trained models are taught through the wire and land
-/// here). Fails on infrastructure errors (bind, connect, teach); a wrong
-/// diagnosis is reported in the result, not as a Status.
+/// End-to-end exerciser for dbsherlockd: boots a Service (4 ingest and 2
+/// diagnosis workers) + TCP Server on an ephemeral port, teaches two
+/// pre-trained causal models per anomaly class over the wire (TEACH merges
+/// them, the paper's Figure 8 merged models), then drives 8 simulated
+/// tenants concurrently through the real socket path — tenant i streams
+/// anomaly class i with a 40 s anomaly after 300 s of normal load (well
+/// under the detector's 20% small-cluster cutoff), seed 20260805 — and
+/// reports, per tenant, whether its anomaly was diagnosed with the correct
+/// cause ranked first over a region that overlaps the injected one.
+/// `store` is the shared durable model store the service ranks against
+/// (the taught models land here). Fails on infrastructure errors (bind,
+/// connect, teach, a row shed past its retry budget); a wrong diagnosis
+/// is reported in the result, not as a Status.
 common::Result<ServiceReplayResult> RunServiceReplay(
-    const ServiceReplayOptions& options, service::DurableModelStore* store);
+    service::DurableModelStore* store);
 
 }  // namespace dbsherlock::eval
 

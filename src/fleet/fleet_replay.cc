@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
-#include "common/stats.h"
 #include "common/strings.h"
+#include "service/client.h"
 #include "tsdata/schema.h"
 
 namespace dbsherlock::fleet {
@@ -21,19 +20,18 @@ using common::Status;
 using service::Client;
 using service::Response;
 
-double NowSeconds() {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr const char* kHost = "127.0.0.1";
+constexpr size_t kAttributes = 4;
+/// Give up on one row after this many reconnect+re-HELLO cycles.
+constexpr int kMaxRecoveriesPerRow = 50;
+const service::RetryPolicy kRetry{};
 
 /// Deterministic numeric row for (tenant, row, attribute) — reproducible
 /// across runs and cheap to generate under load.
-std::vector<tsdata::Cell> MakeRow(size_t tenant, size_t row,
-                                  size_t attributes) {
+std::vector<tsdata::Cell> MakeRow(size_t tenant, size_t row) {
   std::vector<tsdata::Cell> cells;
-  cells.reserve(attributes);
-  for (size_t a = 0; a < attributes; ++a) {
+  cells.reserve(kAttributes);
+  for (size_t a = 0; a < kAttributes; ++a) {
     cells.emplace_back(
         static_cast<double>((tenant * 131 + row * 31 + a * 7) % 97));
   }
@@ -43,11 +41,7 @@ std::vector<tsdata::Cell> MakeRow(size_t tenant, size_t row,
 struct SharedCounters {
   std::atomic<uint64_t> rows_acked{0};
   std::atomic<uint64_t> rows_failed{0};
-  std::atomic<uint64_t> retries{0};
-  std::atomic<uint64_t> reconnects{0};
   std::atomic<uint64_t> rehellos{0};
-  std::mutex latencies_mu;
-  std::vector<double> latencies_ms;
 };
 
 class ReplayWorker {
@@ -57,9 +51,9 @@ class ReplayWorker {
       : options_(options),
         worker_(worker_index),
         counters_(counters),
-        rng_(options.retry.seed + worker_index, worker_index * 2 + 1) {
+        rng_(kRetry.seed + worker_index, worker_index * 2 + 1) {
     std::vector<tsdata::AttributeSpec> attrs;
-    for (size_t a = 0; a < options_.attributes; ++a) {
+    for (size_t a = 0; a < kAttributes; ++a) {
       tsdata::AttributeSpec spec;
       spec.name = common::StrFormat("m%zu", a);
       spec.kind = tsdata::AttributeKind::kNumeric;
@@ -74,42 +68,32 @@ class ReplayWorker {
       ReplayTenant(t);
     }
     if (client_ != nullptr) (void)client_->Quit();
-    std::lock_guard lock(counters_->latencies_mu);
-    counters_->latencies_ms.insert(counters_->latencies_ms.end(),
-                                   latencies_ms_.begin(),
-                                   latencies_ms_.end());
   }
 
  private:
   /// Sleeps the retry policy's jittered backoff for attempt `attempt`.
   void Backoff(int attempt, int hint_ms) {
-    counters_->retries.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::sleep_for(
         std::chrono::milliseconds(service::BackoffSleepMs(
-            options_.retry, attempt, hint_ms, rng_.NextDouble())));
+            kRetry, attempt, hint_ms, rng_.NextDouble())));
   }
 
   /// (Re)connects to the endpoint, backing off between attempts. False
   /// only when the recovery budget for the current row is exhausted.
   bool EnsureConnected(int* recoveries) {
     int attempt = 0;
-    while (*recoveries < options_.max_recoveries_per_row) {
+    while (*recoveries < kMaxRecoveriesPerRow) {
       if (client_ == nullptr) {
         Client::Options client_options;
         client_options.connect_timeout_ms = 2000;
         client_options.deadline_ms = options_.deadline_ms;
-        auto client =
-            Client::Connect(options_.host, options_.port, client_options);
+        auto client = Client::Connect(kHost, options_.port, client_options);
         if (client.ok()) {
           client_ = std::move(*client);
-          counters_->reconnects.fetch_add(1, std::memory_order_relaxed);
           return true;
         }
-      } else {
-        if (client_->Reconnect().ok()) {
-          counters_->reconnects.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        }
+      } else if (client_->Reconnect().ok()) {
+        return true;
       }
       ++*recoveries;
       Backoff(attempt++, 0);
@@ -121,7 +105,7 @@ class ReplayWorker {
   /// missing from the tenant's durable history, or 0 on failure.
   size_t HelloResume(const std::string& tenant, int* recoveries) {
     int attempt = 0;
-    while (*recoveries < options_.max_recoveries_per_row) {
+    while (*recoveries < kMaxRecoveriesPerRow) {
       if (client_ == nullptr && !EnsureConnected(recoveries)) return 0;
       auto resume = client_->HelloResume(tenant, schema_);
       if (resume.ok()) {
@@ -140,9 +124,7 @@ class ReplayWorker {
   }
 
   void ReplayTenant(size_t tenant_index) {
-    std::string tenant =
-        common::StrFormat("%s%zu", options_.tenant_prefix.c_str(),
-                          tenant_index);
+    std::string tenant = common::StrFormat("t%zu", tenant_index);
     int recoveries = 0;
     size_t next = HelloResume(tenant, &recoveries);
     if (next == 0) {
@@ -151,9 +133,7 @@ class ReplayWorker {
       return;
     }
     while (next <= options_.rows_per_tenant) {
-      std::vector<tsdata::Cell> cells =
-          MakeRow(tenant_index, next, options_.attributes);
-      double started = NowSeconds();
+      std::vector<tsdata::Cell> cells = MakeRow(tenant_index, next);
       bool acked = false;
       while (!acked) {
         auto response = client_ == nullptr
@@ -167,10 +147,9 @@ class ReplayWorker {
         }
         if (response.ok() &&
             response->kind == Response::Kind::kRetryAfter) {
-          // Poll at the server's hint (jittered, NOT grown): the wait for
-          // a drain slot shrinks as shards are added, and geometric
-          // growth would overshoot it — a fixed cadence keeps the row's
-          // latency proportional to the real queue wait.
+          // Poll at the server's hint (jittered, NOT grown): a drain
+          // slot frees within a few ms, and geometric growth would
+          // overshoot it.
           Backoff(/*attempt=*/0, response->retry_after_ms);
           continue;
         }
@@ -180,7 +159,7 @@ class ReplayWorker {
         // the tenant on a survivor), and rewind to the first row the new
         // shard is missing. Replayed seqs ack without re-ingesting.
         ++recoveries;
-        if (recoveries >= options_.max_recoveries_per_row) break;
+        if (recoveries >= kMaxRecoveriesPerRow) break;
         bool was_err =
             response.ok() && response->kind == Response::Kind::kErr;
         if (!was_err && !EnsureConnected(&recoveries)) break;
@@ -203,9 +182,8 @@ class ReplayWorker {
       }
       if (acked) {
         counters_->rows_acked.fetch_add(1, std::memory_order_relaxed);
-        latencies_ms_.push_back((NowSeconds() - started) * 1000.0);
         ++next;
-      } else if (recoveries >= options_.max_recoveries_per_row) {
+      } else if (recoveries >= kMaxRecoveriesPerRow) {
         counters_->rows_failed.fetch_add(
             options_.rows_per_tenant - next + 1,
             std::memory_order_relaxed);
@@ -222,7 +200,6 @@ class ReplayWorker {
   common::Pcg32 rng_;
   tsdata::Schema schema_;
   std::unique_ptr<Client> client_;
-  std::vector<double> latencies_ms_;
 };
 
 }  // namespace
@@ -236,7 +213,6 @@ Result<FleetReplayResult> RunFleetReplay(const FleetReplayOptions& options) {
       std::max<size_t>(1, std::min(options.client_threads, options.tenants));
 
   SharedCounters counters;
-  double started = NowSeconds();
   {
     std::vector<std::thread> threads;
     threads.reserve(effective.client_threads);
@@ -254,18 +230,7 @@ Result<FleetReplayResult> RunFleetReplay(const FleetReplayOptions& options) {
   FleetReplayResult result;
   result.rows_acked = counters.rows_acked.load();
   result.rows_failed = counters.rows_failed.load();
-  result.retries = counters.retries.load();
-  result.reconnects = counters.reconnects.load();
   result.rehellos = counters.rehellos.load();
-  result.wall_seconds = NowSeconds() - started;
-  if (result.wall_seconds > 0) {
-    result.rows_per_sec =
-        static_cast<double>(result.rows_acked) / result.wall_seconds;
-  }
-  const std::vector<double>& latencies = counters.latencies_ms;
-  result.p50_append_ms = common::Quantile(latencies, 0.50);
-  result.p99_append_ms = common::Quantile(latencies, 0.99);
-  result.max_append_ms = common::Max(latencies);
   return result;
 }
 

@@ -2,50 +2,33 @@
 #define DBSHERLOCK_FLEET_FLEET_REPLAY_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/status.h"
-#include "service/client.h"
 
 namespace dbsherlock::fleet {
 
 /// Many-tenant wire replay against a router (or a single shard): the
-/// fleet benchmark's load generator and the shard-kill e2e test's writer.
-/// `client_threads` connections cycle over `tenants` tenants round-robin,
-/// each sending HELLO then `rows_per_tenant` APPENDSEQ rows, honoring
-/// RETRY_AFTER backpressure with jittered backoff and riding out dropped
-/// connections / dead shards with the idempotent resume protocol:
-/// reconnect, re-HELLO (the router re-places the tenant if its shard
-/// died), and resend the same seq — the ack replays if the row already
-/// landed, so no acked row is ever lost or double-ingested.
+/// shard-kill e2e test's writer. `client_threads` connections to
+/// 127.0.0.1:`port` cycle over `tenants` tenants (t0, t1, ...)
+/// round-robin, each sending HELLO then `rows_per_tenant` four-attribute
+/// APPENDSEQ rows, honoring RETRY_AFTER backpressure with jittered backoff
+/// and riding out dropped connections / dead shards with the idempotent
+/// resume protocol: reconnect, re-HELLO (the router re-places the tenant
+/// if its shard died), and resend the same seq — the ack replays if the
+/// row already landed, so no acked row is ever lost or double-ingested.
 struct FleetReplayOptions {
-  std::string host = "127.0.0.1";
   int port = 0;
   size_t tenants = 1000;
   size_t rows_per_tenant = 10;
-  size_t attributes = 4;
   size_t client_threads = 16;
-  service::RetryPolicy retry;
   /// Per-request client deadline (detects half-dead shards).
   int deadline_ms = 10000;
-  /// Give up on one row after this many reconnect+re-HELLO cycles.
-  int max_recoveries_per_row = 50;
-  /// Tenant name prefix ("t" -> t0, t1, ...).
-  std::string tenant_prefix = "t";
 };
 
 struct FleetReplayResult {
   uint64_t rows_acked = 0;
   uint64_t rows_failed = 0;     // rows abandoned after max recoveries
-  uint64_t retries = 0;         // RETRY_AFTER responses honored
-  uint64_t reconnects = 0;      // connection re-establishments
   uint64_t rehellos = 0;        // failover re-HELLOs after an ERR
-  double wall_seconds = 0.0;
-  double rows_per_sec = 0.0;
-  /// Per-row time-to-ack (includes backpressure sleeps), milliseconds.
-  double p50_append_ms = 0.0;
-  double p99_append_ms = 0.0;
-  double max_append_ms = 0.0;
 };
 
 common::Result<FleetReplayResult> RunFleetReplay(

@@ -7,10 +7,8 @@
 #   tools/run_benchmarks.sh --sanitize
 #   tools/run_benchmarks.sh [--allow-debug] --robustness [output.json]
 #   tools/run_benchmarks.sh --trace-overhead
-#   tools/run_benchmarks.sh [--allow-debug] --service [output.json]
 #   tools/run_benchmarks.sh [--allow-debug] --store [output.json]
 #   tools/run_benchmarks.sh [--allow-debug] --chaos [output.json]
-#   tools/run_benchmarks.sh [--allow-debug] --query [output.json]
 # Modes:
 #   --with-metrics  run the microbenchmarks, then run one instrumented
 #                 pipeline pass (bench_pipeline_metrics) and embed its
@@ -39,22 +37,8 @@
 #                 distributions plus each episode's seed and fault
 #                 schedule (default BENCH_chaos.json). Exit status is
 #                 nonzero if any invariant was violated.
-#   --query       run the DQL pipeline sweep: parse/compile latency for a
-#                 representative EXPLAIN WHERE statement (compile includes
-#                 exact percentile resolution via zone-map bracketing),
-#                 the discovery scan with pushdown vs the prune-free full
-#                 decode, and end-to-end EXPLAINQ latency against a real
-#                 daemon subprocess (default BENCH_query.json). Exit
-#                 status is nonzero unless pushdown discovery decoded
-#                 strictly fewer segments than the full scan.
-#   --service     run the dbsherlockd end-to-end replay (8 simulated
-#                 tenants over the real socket path) and write throughput,
-#                 p99 append latency, shed rate, and per-tenant diagnosis
-#                 accuracy, then the sharded-fleet scaling sweep (1000
-#                 tenants through the consistent-hash router over 1/2/4
-#                 shards; "fleet" key in the same report; default
-#                 BENCH_service.json). Exit status is nonzero unless every
-#                 tenant's cause ranks top-1 and every fleet row lands.
+#   Any other argument starting with "--" where a mode or the output
+#                 path is expected prints the usage lines and exits 2.
 #
 # Build policy: an unconfigured BUILD_DIR is configured as Release and
 # built here; an existing BUILD_DIR is reused as-is. BENCH_*.json is only
@@ -70,6 +54,13 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
+
+# Prints the usage lines of the header above and exits 2.
+usage() {
+  echo "usage:" >&2
+  sed -n 's|^#   \(tools/run_benchmarks\.sh .*\)|  \1|p' "$0" >&2
+  exit 2
+}
 
 ALLOW_DEBUG=0
 if [[ "${1:-}" == "--allow-debug" ]]; then
@@ -128,29 +119,11 @@ if [[ "${1:-}" == "--robustness" ]]; then
   exit 0
 fi
 
-if [[ "${1:-}" == "--service" ]]; then
-  OUT="${2:-BENCH_service.json}"
-  ensure_built bench_service
-  require_optimized_build
-  # The fleet sweep (router + 1/2/4 shards, 1000 tenants) rides in
-  # the same report under the "fleet" key.
-  "$BUILD_DIR/bench/bench_service" --json_out "$OUT" --fleet_shards 1,2,4
-  exit 0
-fi
-
 if [[ "${1:-}" == "--chaos" ]]; then
   OUT="${2:-BENCH_chaos.json}"
   ensure_built bench_chaos
   require_optimized_build
   "$BUILD_DIR/bench/bench_chaos" --json_out "$OUT"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--query" ]]; then
-  OUT="${2:-BENCH_query.json}"
-  ensure_built bench_query
-  require_optimized_build
-  "$BUILD_DIR/bench/bench_query" --json_out "$OUT"
   exit 0
 fi
 
@@ -172,6 +145,11 @@ WITH_METRICS=0
 if [[ "${1:-}" == "--with-metrics" ]]; then
   WITH_METRICS=1
   shift || true
+fi
+
+if [[ "${1:-}" == --* ]]; then
+  echo "unknown mode: $1" >&2
+  usage
 fi
 
 OUT="${1:-BENCH_micro.json}"
