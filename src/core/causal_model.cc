@@ -10,7 +10,8 @@ double ModelConfidence(const CausalModel& model,
                        const tsdata::Dataset& dataset,
                        const tsdata::LabeledRows& rows,
                        const PredicateGenOptions& options) {
-  PartitionSpaceCache cache(dataset, rows, options);
+  DiagnosisRuns runs = BuildDiagnosisRuns(rows);
+  PartitionSpaceCache cache(dataset, runs, options);
   cache.Prepare(std::span<const CausalModel>(&model, 1));
   return ModelConfidence(model, cache);
 }

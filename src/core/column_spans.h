@@ -10,9 +10,10 @@
 // and separation-power count walks `values + run.begin` as a contiguous
 // column span through the SIMD kernels instead of gathering row by row.
 //
-// A DiagnosisRuns is built once (GeneratePredicates, the
-// PartitionSpaceCache behind ModelRepository::Rank and ModelConfidence) and
-// shared across all attributes/models of that diagnosis; the
+// A DiagnosisRuns is built once per diagnosis (Explainer::Diagnose, the
+// service's DIAGNOSE_RANGE and background diagnoses, each DQL finding) and
+// shared by predicate generation and the PartitionSpaceCache behind
+// ModelRepository::Rank across all attributes and models; the
 // column_spans.runs_built / column_spans.runs_reused counters make the
 // reuse rate observable (tools/dbsherlock metrics).
 

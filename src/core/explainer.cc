@@ -24,6 +24,11 @@ std::string Explanation::WarningsToString() const {
 
 Explanation Explainer::Diagnose(const tsdata::Dataset& dataset,
                                 const tsdata::DiagnosisRegions& regions) const {
+  return Diagnose(dataset, BuildDiagnosisRuns(SplitRows(dataset, regions)));
+}
+
+Explanation Explainer::Diagnose(const tsdata::Dataset& dataset,
+                                const DiagnosisRuns& runs) const {
   TRACE_SPAN("explainer.diagnose");
   static common::Counter* diagnoses =
       common::MetricsRegistry::Global().GetCounter("explainer.diagnoses");
@@ -33,11 +38,8 @@ Explanation Explainer::Diagnose(const tsdata::Dataset& dataset,
   common::ScopedLatency timer(latency);
 
   Explanation out;
-  // One row split feeds both predicate generation and model ranking
-  // (historically each re-derived it from the regions).
-  tsdata::LabeledRows rows = SplitRows(dataset, regions);
   PredicateGenResult generated =
-      GeneratePredicates(dataset, rows, options_.predicate_options);
+      GeneratePredicates(dataset, runs, options_.predicate_options);
   out.predicates = std::move(generated.predicates);
   out.warnings = std::move(generated.warnings);
 
@@ -49,7 +51,7 @@ Explanation Explainer::Diagnose(const tsdata::Dataset& dataset,
 
   if (!repository_.empty()) {
     TRACE_SPAN("explainer.model_matching");
-    out.causes = repository_.Rank(dataset, rows, options_.predicate_options,
+    out.causes = repository_.Rank(dataset, runs, options_.predicate_options,
                                   options_.confidence_threshold);
   }
   return out;

@@ -64,6 +64,11 @@ class Explainer {
   Explanation Diagnose(const tsdata::Dataset& dataset,
                        const tsdata::DiagnosisRegions& regions) const;
 
+  /// As above, over the run decomposition of the split rows: predicate
+  /// generation and model ranking both read `runs`.
+  Explanation Diagnose(const tsdata::Dataset& dataset,
+                       const DiagnosisRuns& runs) const;
+
   /// Diagnoses with automatic anomaly detection (Section 7): the abnormal
   /// region is found by the detector; everything else is treated as normal.
   /// `detected` (optional) receives the detector output.

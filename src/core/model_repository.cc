@@ -42,6 +42,12 @@ const CausalModel* ModelRepository::Find(const std::string& cause) const {
 std::vector<RankedCause> ModelRepository::Rank(
     const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
     const PredicateGenOptions& options, double lambda) const {
+  return Rank(dataset, BuildDiagnosisRuns(rows), options, lambda);
+}
+
+std::vector<RankedCause> ModelRepository::Rank(
+    const tsdata::Dataset& dataset, const DiagnosisRuns& runs,
+    const PredicateGenOptions& options, double lambda) const {
   // One partition-space build per referenced attribute for the whole
   // ranking (historically one per model per predicate), then models score
   // in parallel against the read-only cache. The best-per-cause fold stays
@@ -49,7 +55,7 @@ std::vector<RankedCause> ModelRepository::Rank(
   TRACE_SPAN("repository.rank");
   static common::Counter* scored =
       common::MetricsRegistry::Global().GetCounter("repository.models_scored");
-  PartitionSpaceCache cache(dataset, rows, options);
+  PartitionSpaceCache cache(dataset, runs, options);
   cache.Prepare(std::span<const CausalModel>(models_));
   std::vector<double> confidences;
   {

@@ -45,6 +45,12 @@ class ModelRepository {
   /// confidence_threshold, default 20). When multiple unmerged models
   /// share a cause, the cause's confidence is the maximum over its models.
   std::vector<RankedCause> Rank(const tsdata::Dataset& dataset,
+                                const DiagnosisRuns& runs,
+                                const PredicateGenOptions& options,
+                                double lambda) const;
+
+  /// As above, over the runs of `rows`.
+  std::vector<RankedCause> Rank(const tsdata::Dataset& dataset,
                                 const tsdata::LabeledRows& rows,
                                 const PredicateGenOptions& options,
                                 double lambda) const;

@@ -58,9 +58,9 @@ std::optional<PartitionSpace> BuildConfidenceSpace(
 }
 
 PartitionSpaceCache::PartitionSpaceCache(const tsdata::Dataset& dataset,
-                                         const tsdata::LabeledRows& rows,
+                                         const DiagnosisRuns& runs,
                                          const PredicateGenOptions& options)
-    : dataset_(dataset), runs_(BuildDiagnosisRuns(rows)), options_(options) {}
+    : dataset_(dataset), runs_(runs), options_(options) {}
 
 PartitionSpaceCache::~PartitionSpaceCache() {
   CacheMetrics::Get().evictions->Increment(spaces_.size());

@@ -20,10 +20,10 @@ namespace dbsherlock::core {
 /// merged repositories whose models reference overlapping attributes; with
 /// it, each attribute is profiled and labeled exactly once per inquiry.
 ///
-/// Lifetime and invalidation: a cache is valid only for one (dataset, row
-/// split, options) triple, all of which are immutable during a diagnosis,
-/// so the cache lives at most for one Rank call and is never invalidated —
-/// it is simply discarded. Entries are BuildConfidenceSpace's spaces,
+/// Lifetime and invalidation: a cache is valid only for one (dataset, run
+/// decomposition, options) triple, all of which are immutable during a
+/// diagnosis and must outlive the cache, so the cache lives at most for one
+/// Rank call and is never invalidated — it is simply discarded. Entries are BuildConfidenceSpace's spaces,
 /// skewed-attribute normal anchor included.
 ///
 /// Threading: Prepare() builds all entries (fanning out over attributes);
@@ -31,9 +31,9 @@ namespace dbsherlock::core {
 /// parallel model-scoring loop need no locks.
 class PartitionSpaceCache {
  public:
-  /// Decomposes `rows` into runs once; every entry's sweeps share them.
+  /// Every entry's sweeps share `runs`, the diagnosis' one decomposition.
   PartitionSpaceCache(const tsdata::Dataset& dataset,
-                      const tsdata::LabeledRows& rows,
+                      const DiagnosisRuns& runs,
                       const PredicateGenOptions& options);
 
   /// Counts the discarded entries as `partition_cache.evictions` (this
@@ -57,7 +57,7 @@ class PartitionSpaceCache {
 
  private:
   const tsdata::Dataset& dataset_;
-  const DiagnosisRuns runs_;
+  const DiagnosisRuns& runs_;
   const PredicateGenOptions& options_;
   std::unordered_map<size_t, std::optional<PartitionSpace>> spaces_;
 };

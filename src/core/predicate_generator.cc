@@ -278,27 +278,25 @@ double PartitionSeparationPower(const Predicate& predicate,
 PredicateGenResult GeneratePredicates(const tsdata::Dataset& dataset,
                                       const tsdata::DiagnosisRegions& regions,
                                       const PredicateGenOptions& options) {
-  return GeneratePredicates(dataset, SplitRows(dataset, regions), options);
+  return GeneratePredicates(
+      dataset, BuildDiagnosisRuns(SplitRows(dataset, regions)), options);
 }
 
 PredicateGenResult GeneratePredicates(const tsdata::Dataset& dataset,
-                                      const tsdata::LabeledRows& rows,
+                                      const DiagnosisRuns& runs,
                                       const PredicateGenOptions& options) {
   TRACE_SPAN("explainer.predicate_generation");
   static common::Counter* emitted =
       common::MetricsRegistry::Global().GetCounter(
           "predgen.predicates_emitted");
   PredicateGenResult result;
-  if (rows.abnormal.empty() || rows.normal.empty()) return result;
+  if (runs.abnormal_rows == 0 || runs.normal_rows == 0) return result;
 
-  // The run decomposition is hoisted out of the attribute loop: every
-  // attribute's profile/labeling/separation sweep shares it (the kernels
-  // then stream each run as one contiguous column span).
-  DiagnosisRuns runs = BuildDiagnosisRuns(rows);
-
-  // Attributes are independent (Section 4 treats each in isolation), so the
-  // loop fans out; merging in attribute order keeps the output identical to
-  // the serial path.
+  // Every attribute's profile/labeling/separation sweep shares the one
+  // run decomposition (the kernels stream each run as one contiguous
+  // column span). Attributes are independent (Section 4 treats each in
+  // isolation), so the loop fans out; merging in attribute order keeps the
+  // output identical to the serial path.
   std::vector<AttributeOutcome> per_attr = common::ParallelMap(
       dataset.num_attributes(),
       [&](size_t attr) {

@@ -133,11 +133,10 @@ PredicateGenResult GeneratePredicates(const tsdata::Dataset& dataset,
                                       const tsdata::DiagnosisRegions& regions,
                                       const PredicateGenOptions& options);
 
-/// As above, over rows the caller already split (spares the extra
-/// SplitRows sweep when the caller needs the labeled rows anyway — see
-/// Explainer::Diagnose, which also feeds them to ModelRepository::Rank).
+/// As above, over the run decomposition of rows the caller already split
+/// (Explainer::Diagnose builds it once and also ranks models over it).
 PredicateGenResult GeneratePredicates(const tsdata::Dataset& dataset,
-                                      const tsdata::LabeledRows& rows,
+                                      const DiagnosisRuns& runs,
                                       const PredicateGenOptions& options);
 
 /// Builds the final labeled partition space (label -> filter -> fill) for

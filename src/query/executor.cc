@@ -17,6 +17,14 @@ namespace {
 using common::Result;
 using common::Status;
 
+/// Matching rows closer than this merge into one candidate region.
+constexpr double kMergeGapSec = 4.0;
+/// At most this many findings are diagnosed (largest regions win).
+constexpr size_t kMaxFindings = 3;
+/// Sparkline rendering: bucket count and how many attributes to chart.
+constexpr size_t kSparklineWidth = 48;
+constexpr size_t kSparklineAttributes = 3;
+
 std::string NumStr(double v) { return FormatNumber(std::round(v * 1e4) / 1e4); }
 
 /// "avg_latency_ms > 41.31 (p99 of 7200 stored values)".
@@ -33,14 +41,13 @@ std::string ConditionDisplay(const CompiledCondition& c) {
 }
 
 /// Merges matching timestamps into candidate regions: a gap wider than
-/// `merge_gap_sec` splits; each region's half-open end extends one median
+/// kMergeGapSec splits; each region's half-open end extends one median
 /// intra-region step past its last match so that row stays inside.
-std::vector<tsdata::TimeRange> MergeMatches(const std::vector<double>& ts,
-                                            double merge_gap_sec) {
+std::vector<tsdata::TimeRange> MergeMatches(const std::vector<double>& ts) {
   std::vector<tsdata::TimeRange> out;
   size_t start = 0;
   for (size_t i = 1; i <= ts.size(); ++i) {
-    if (i < ts.size() && ts[i] - ts[i - 1] <= merge_gap_sec) continue;
+    if (i < ts.size() && ts[i] - ts[i - 1] <= kMergeGapSec) continue;
     std::vector<double> gaps;
     for (size_t j = start + 1; j < i; ++j) gaps.push_back(ts[j] - ts[j - 1]);
     double step = 1.0;
@@ -184,12 +191,10 @@ Result<IncidentReport> Execute(const CompiledQuery& query,
                              NumStr(query.ast.t1) + ")");
       return report;
     }
-    std::vector<tsdata::TimeRange> regions =
-        MergeMatches(matched, options.merge_gap_sec);
-    for (const tsdata::TimeRange& r : regions) {
+    for (const tsdata::TimeRange& r : MergeMatches(matched)) {
       plans.push_back({r, RowsInside(matched, r)});
     }
-    if (options.max_findings > 0 && plans.size() > options.max_findings) {
+    if (plans.size() > kMaxFindings) {
       std::stable_sort(plans.begin(), plans.end(),
                        [](const FindingPlan& a, const FindingPlan& b) {
                          return a.matched > b.matched;
@@ -197,8 +202,8 @@ Result<IncidentReport> Execute(const CompiledQuery& query,
       report.notes.push_back(
           "matched rows formed " + std::to_string(plans.size()) +
           " candidate regions; diagnosing the " +
-          std::to_string(options.max_findings) + " largest");
-      plans.resize(options.max_findings);
+          std::to_string(kMaxFindings) + " largest");
+      plans.resize(kMaxFindings);
     }
     std::stable_sort(plans.begin(), plans.end(),
                      [](const FindingPlan& a, const FindingPlan& b) {
@@ -242,49 +247,49 @@ Result<IncidentReport> Execute(const CompiledQuery& query,
     finding.region = plan.region;
     finding.window_rows = window->num_rows();
 
+    // The detector refines the region; a region it does not confirm is
+    // still diagnosed as-is, flagged.
     tsdata::DiagnosisRegions regions;
     regions.abnormal = tsdata::RegionSpec({plan.region});
-    if (options.run_detector) {
-      core::DetectionResult detected =
-          core::DetectAnomalies(*window, options.detector);
-      std::vector<tsdata::TimeRange> overlapping;
-      for (const tsdata::TimeRange& r : detected.abnormal.ranges()) {
-        if (r.start < plan.region.end && plan.region.start < r.end) {
-          overlapping.push_back(r);
-        }
-      }
-      finding.detector_confirmed = !overlapping.empty();
-      if (finding.detector_confirmed &&
-          query.ast.kind == QueryKind::kExplainWhere) {
-        // Trust the detector's sharper edges over the raw match run, and
-        // keep its guard-banded normal side.
-        tsdata::DiagnosisRegions refined =
-            core::DetectionToRegions(detected, *window, options.detector);
-        regions.abnormal = tsdata::RegionSpec(std::move(overlapping));
-        regions.normal = refined.normal;
-      } else if (!finding.detector_confirmed) {
-        report.notes.push_back("finding " + region_label +
-                               ": the anomaly detector did not confirm "
-                               "this region; diagnosing it as marked");
+    core::DetectionResult detected =
+        core::DetectAnomalies(*window, options.detector);
+    std::vector<tsdata::TimeRange> overlapping;
+    for (const tsdata::TimeRange& r : detected.abnormal.ranges()) {
+      if (r.start < plan.region.end && plan.region.start < r.end) {
+        overlapping.push_back(r);
       }
     }
+    finding.detector_confirmed = !overlapping.empty();
+    if (finding.detector_confirmed &&
+        query.ast.kind == QueryKind::kExplainWhere) {
+      // Trust the detector's sharper edges over the raw match run, and
+      // keep its guard-banded normal side.
+      tsdata::DiagnosisRegions refined =
+          core::DetectionToRegions(detected, *window, options.detector);
+      regions.abnormal = tsdata::RegionSpec(std::move(overlapping));
+      regions.normal = refined.normal;
+    } else if (!finding.detector_confirmed) {
+      report.notes.push_back("finding " + region_label +
+                             ": the anomaly detector did not confirm "
+                             "this region; diagnosing it as marked");
+    }
 
-    tsdata::LabeledRows labeled = tsdata::SplitRows(*window, regions);
-    finding.abnormal_rows = labeled.abnormal.size();
-    if (labeled.abnormal.empty()) {
+    core::DiagnosisRuns runs =
+        core::BuildDiagnosisRuns(tsdata::SplitRows(*window, regions));
+    finding.abnormal_rows = runs.abnormal_rows;
+    if (runs.abnormal_rows == 0) {
       report.notes.push_back("finding " + region_label +
                              ": no rows inside the abnormal region");
       continue;
     }
-    if (labeled.normal.empty()) {
+    if (runs.normal_rows == 0) {
       report.notes.push_back("finding " + region_label +
                              ": every window row is abnormal; widen "
                              "BETWEEN for a normal baseline");
       continue;
     }
 
-    core::Explanation explanation =
-        context.explainer->Diagnose(*window, regions);
+    core::Explanation explanation = context.explainer->Diagnose(*window, runs);
     finding.predicates = explanation.predicates;
     finding.warnings = explanation.warnings;
     std::vector<core::RankedCause> causes =
@@ -309,8 +314,8 @@ Result<IncidentReport> Execute(const CompiledQuery& query,
     // Sparkline context: the queried attributes first, then the winning
     // predicates' attributes.
     std::vector<std::string> chart;
-    auto add_attr = [&chart, &options](const std::string& name) {
-      if (chart.size() >= options.sparkline_attributes) return;
+    auto add_attr = [&chart](const std::string& name) {
+      if (chart.size() >= kSparklineAttributes) return;
       if (std::find(chart.begin(), chart.end(), name) != chart.end()) return;
       chart.push_back(name);
     };
@@ -331,7 +336,7 @@ Result<IncidentReport> Execute(const CompiledQuery& query,
       }
       SparklineRow row = RenderSparkline(
           name, window->column(*idx).numeric_values(), window->timestamps(),
-          marker, options.sparkline_width);
+          marker, kSparklineWidth);
       if (!row.cells.empty()) finding.context.push_back(std::move(row));
     }
 

@@ -16,9 +16,10 @@
 
 namespace dbsherlock::query {
 
-/// Budgets and shaping knobs for query execution. Defaults mirror the
-/// service's DIAGNOSE_RANGE budgets; the service threads its configured
-/// --max-range-rows and scan parallelism through here.
+/// Budgets for query execution. Defaults mirror the service's
+/// DIAGNOSE_RANGE budgets; the service threads its configured
+/// --max-range-rows, context factor, scan parallelism and detector
+/// settings through here.
 struct ExecutorOptions {
   /// Row budget for the discovery scan and for each finding's context
   /// window (the --max-range-rows contract). 0 = unlimited.
@@ -26,18 +27,9 @@ struct ExecutorOptions {
   /// A finding's diagnosis window extends this multiple of the region
   /// length on each side, so the explainer sees a normal baseline.
   double range_context_factor = 8.0;
-  /// Matching rows closer than this merge into one candidate region.
-  double merge_gap_sec = 4.0;
-  /// At most this many findings are diagnosed (largest regions win).
-  size_t max_findings = 3;
-  /// Sparkline rendering: bucket count and how many attributes to chart.
-  size_t sparkline_width = 48;
-  size_t sparkline_attributes = 3;
   /// Scan decode parallelism (0 = hardware lanes).
   size_t parallelism = 0;
-  /// Refine WHERE-discovered regions with the anomaly detector; a region
-  /// the detector does not confirm is still diagnosed as-is, flagged.
-  bool run_detector = true;
+  /// The detector that refines each finding's region.
   core::AnomalyDetectorOptions detector;
 };
 

@@ -343,10 +343,10 @@ Status DurableModelStore::Compact() {
 }
 
 std::vector<core::RankedCause> DurableModelStore::Rank(
-    const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
+    const tsdata::Dataset& dataset, const core::DiagnosisRuns& runs,
     const core::PredicateGenOptions& options, double lambda) const {
   std::shared_lock lock(mu_);
-  return repo_.Rank(dataset, rows, options, lambda);
+  return repo_.Rank(dataset, runs, options, lambda);
 }
 
 core::ModelRepository DurableModelStore::SnapshotRepository() const {

@@ -81,7 +81,7 @@ class DurableModelStore {
   /// Ranks the stored causes against an anomaly (thread-safe, shared lock;
   /// see ModelRepository::Rank).
   std::vector<core::RankedCause> Rank(
-      const tsdata::Dataset& dataset, const tsdata::LabeledRows& rows,
+      const tsdata::Dataset& dataset, const core::DiagnosisRuns& runs,
       const core::PredicateGenOptions& options, double lambda) const;
 
   /// Copy of the current repository (MODELS responses, tests).

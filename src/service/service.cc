@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
-#include <numeric>
 
 #include "common/crc32.h"
 #include "common/faultenv.h"
@@ -412,9 +411,8 @@ Status Service::FlushAll() {
 }
 
 std::vector<core::RankedCause> Service::RankCauses(
-    const tsdata::Dataset& window,
-    const tsdata::DiagnosisRegions& regions) const {
-  return options_.store->Rank(window, tsdata::SplitRows(window, regions),
+    const tsdata::Dataset& window, const core::DiagnosisRuns& runs) const {
+  return options_.store->Rank(window, runs,
                               options_.explainer.predicate_options,
                               options_.explainer.confidence_threshold);
 }
@@ -422,9 +420,11 @@ std::vector<core::RankedCause> Service::RankCauses(
 core::Explanation Service::Explain(
     const tsdata::Dataset& window,
     const tsdata::DiagnosisRegions& regions) const {
-  core::Explanation explanation = explainer_.Diagnose(window, regions);
+  core::DiagnosisRuns runs =
+      core::BuildDiagnosisRuns(tsdata::SplitRows(window, regions));
+  core::Explanation explanation = explainer_.Diagnose(window, runs);
   if (options_.store != nullptr) {
-    explanation.causes = RankCauses(window, regions);
+    explanation.causes = RankCauses(window, runs);
   }
   return explanation;
 }
@@ -490,25 +490,18 @@ Result<common::JsonValue> Service::DiagnoseRangeJson(
   std::shared_ptr<Tenant> t = std::move(*found);
   // The user designated [t0, t1) as abnormal (the paper's workflow); pad
   // the scan with surrounding context so predicate separation has normal
-  // rows to compare against. The window is stitched incrementally from
-  // the store's pushdown scan — segments outside the padded range are
-  // never read — and the row cap stops a hostile range before it can
-  // inflate the daemon's memory.
+  // rows to compare against. The store's pushdown scan never reads
+  // segments outside the padded range, and the row cap stops a hostile
+  // range before it can inflate the daemon's memory.
   double context = (t1 - t0) * std::max(0.0, options_.range_context_factor);
   store::ScanOptions scan;
   scan.t0 = t0 - context;
   scan.t1 = t1 + context;
   scan.max_rows = options_.max_range_rows;
-  tsdata::Dataset window(t->history->schema());
-  store::ScanVisitor visitor;
-  visitor.on_chunk = [&](const tsdata::Dataset& chunk) {
-    std::vector<size_t> rows(chunk.num_rows());
-    std::iota(rows.begin(), rows.end(), size_t{0});
-    return window.AppendRows(chunk, rows);
-  };
-  visitor.on_reset = [&] { window = tsdata::Dataset(t->history->schema()); };
   store::ScanStats stats;
-  DBSHERLOCK_RETURN_NOT_OK(t->history->ScanVisit(scan, visitor, &stats));
+  auto scanned = t->history->ScanWithOptions(scan, &stats);
+  if (!scanned.ok()) return scanned.status();
+  const tsdata::Dataset& window = *scanned;
   if (stats.truncated) {
     metrics_.range_diagnoses_capped->Increment();
     return Status::ResourceExhausted(common::StrFormat(
@@ -571,7 +564,8 @@ Result<common::JsonValue> Service::ExplainQueryJson(
     // own (empty) repository — same path as background diagnoses.
     exec_context.rank = [this](const tsdata::Dataset& window,
                                const tsdata::DiagnosisRegions& regions) {
-      return RankCauses(window, regions);
+      return RankCauses(
+          window, core::BuildDiagnosisRuns(tsdata::SplitRows(window, regions)));
     };
     exec_context.models = options_.store->num_models();
   }

@@ -261,12 +261,13 @@ class Service {
   /// service runs without a history store (QUERY, DIAGNOSE_RANGE).
   common::Result<std::shared_ptr<Tenant>> FindWithHistory(
       const std::string& tenant);
-  /// Ranks the durable store's causes for `regions` of `window` against
-  /// lambda (explainer.confidence_threshold). Requires a store.
+  /// Ranks the durable store's causes for the anomaly `runs` split out of
+  /// `window` against lambda (explainer.confidence_threshold). Requires a
+  /// store.
   std::vector<core::RankedCause> RankCauses(
-      const tsdata::Dataset& window,
-      const tsdata::DiagnosisRegions& regions) const;
-  /// Explainer predicates plus, when a store is configured, its ranking.
+      const tsdata::Dataset& window, const core::DiagnosisRuns& runs) const;
+  /// Explainer predicates plus, when a store is configured, its ranking,
+  /// both over one run decomposition of `regions`.
   core::Explanation Explain(const tsdata::Dataset& window,
                             const tsdata::DiagnosisRegions& regions) const;
 

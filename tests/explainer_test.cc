@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "simulator/dataset_gen.h"
 
 namespace dbsherlock::core {
@@ -84,6 +85,23 @@ TEST(ExplainerTest, AcceptDiagnosisStoresModelAndRanksIt) {
   ASSERT_FALSE(again.causes.empty());
   EXPECT_EQ(again.causes[0].cause, "Lock Contention");
   EXPECT_GT(again.causes[0].confidence, 20.0);
+}
+
+TEST(ExplainerTest, DiagnoseBuildsOneRunDecomposition) {
+  // Predicate generation and model ranking read the same DiagnosisRuns.
+  simulator::GeneratedDataset run =
+      Generate(simulator::AnomalyKind::kLockContention, 103);
+  Explainer sherlock;
+  sherlock.AcceptDiagnosis("Lock Contention",
+                           sherlock.Diagnose(run.data, run.regions));
+  ASSERT_EQ(sherlock.repository().size(), 1u);
+  common::Counter* built = common::MetricsRegistry::Global().GetCounter(
+      "column_spans.runs_built");
+  uint64_t before = built->value();
+  Explanation ex = sherlock.Diagnose(run.data, run.regions);
+  EXPECT_EQ(built->value() - before, 1u);
+  ASSERT_FALSE(ex.causes.empty());
+  EXPECT_EQ(ex.causes[0].cause, "Lock Contention");
 }
 
 TEST(ExplainerTest, AcceptTwiceMergesModels) {

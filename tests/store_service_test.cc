@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "service/service.h"
 
@@ -237,6 +238,42 @@ TEST(StoreServiceTest, OneLambdaRanksAndFloorsMargins) {
   ASSERT_TRUE(ranked.ok());
   ASSERT_EQ((*ranked)->as_array().size(), 1u) << range->Dump();
   EXPECT_EQ((*ranked)->as_array().front().GetString("cause").ValueOr(""),
+            "CPU hog");
+  service.Stop();
+}
+
+TEST(StoreServiceTest, DiagnoseRangeBuildsOneRunDecomposition) {
+  // The explainer's predicates and the durable store's ranking read the
+  // same DiagnosisRuns of the scanned window.
+  auto model_store = VolatileStore();
+  Service service(StoreOptions(model_store.get(), HistoryRoot("runs")));
+  ASSERT_TRUE(service.Hello("t0", TwoNumeric()).ok());
+  core::CausalModel hog;
+  hog.cause = "CPU hog";
+  hog.predicates = {core::Predicate{
+      "cpu", core::PredicateType::kGreaterThan, 70.0, 0.0, {}}};
+  ASSERT_TRUE(service.Teach(hog).ok());
+  ASSERT_EQ(model_store->num_models(), 1u);
+  common::Pcg32 rng(42);
+  for (int t = 0; t < 450; ++t) {
+    bool ab = t >= 300 && t < 340;
+    double latency = (ab ? 90.0 : 10.0) + rng.NextGaussian(0.0, 1.5);
+    double cpu = (ab ? 95.0 : 40.0) + rng.NextGaussian(0.0, 2.0);
+    AppendBlocking(&service, "t0", t, {latency, cpu});
+  }
+  // Flush waits out background diagnoses, so nothing else builds runs.
+  ASSERT_TRUE(service.Flush("t0").ok());
+
+  common::Counter* built = common::MetricsRegistry::Global().GetCounter(
+      "column_spans.runs_built");
+  uint64_t before = built->value();
+  auto range = service.DiagnoseRangeJson("t0", 300.0, 340.0);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  EXPECT_EQ(built->value() - before, 1u);
+  auto causes = range->GetArray("causes");
+  ASSERT_TRUE(causes.ok());
+  ASSERT_FALSE((*causes)->as_array().empty()) << range->Dump();
+  EXPECT_EQ((*causes)->as_array().front().GetString("cause").ValueOr(""),
             "CPU hog");
   service.Stop();
 }
