@@ -62,8 +62,8 @@ DaemonProcess::Options RouterOptions(const std::string& shards,
   return options;
 }
 
-/// Streams `tenants`x`rows` through the router, kill -9s one shard once
-/// every tenant is provably mid-stream, and asserts that the replay
+/// Streams `tenants`x`rows` through the router, kill -9s one shard once a
+/// tenant it owns is provably mid-stream, and asserts that the replay
 /// completes with zero failed rows and that the SURVIVOR holds every
 /// tenant's full history (the resume protocol rewinds a moved tenant to
 /// row 1, so rows acked by the dead shard are re-landed, not lost).
@@ -86,24 +86,49 @@ void RunKillDrill(const std::vector<std::string>& shard_extra_args) {
   replay_options.deadline_ms = 4000;
 
   // Shard names carry ephemeral ports, so the ring can leave one shard
-  // only a few tenants, which it drains before the kill lands. Kill the
-  // shard that owns at least half of them: they are still mid-stream.
+  // only a few tenants. Kill the shard that owns at least half of them.
   HashRing ring({Addr(shard_a), Addr(shard_b)}, /*vnodes_per_shard=*/64);
-  size_t on_a = 0;
+  std::vector<std::string> on_a, on_b;
   for (size_t t = 0; t < replay_options.tenants; ++t) {
-    on_a += ring.ShardFor(common::StrFormat("t%zu", t)) == 0 ? 1 : 0;
+    std::string tenant = common::StrFormat("t%zu", t);
+    (ring.ShardFor(tenant) == 0 ? on_a : on_b).push_back(tenant);
   }
-  bool kill_a = 2 * on_a >= replay_options.tenants;
+  bool kill_a = 2 * on_a.size() >= replay_options.tenants;
   DaemonProcess& doomed = kill_a ? shard_a : shard_b;
   DaemonProcess& survivor = kill_a ? shard_b : shard_a;
+  const std::vector<std::string>& doomed_tenants = kill_a ? on_a : on_b;
 
   common::Result<FleetReplayResult> result =
       common::Status::Internal("replay never ran");
   std::thread replay(
       [&] { result = RunFleetReplay(replay_options); });
-  // ~500ms in, each tenant has landed a few dozen of its 300 rows (the
-  // whole run takes seconds on one core).
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  // Kill once the doomed shard's STATS show a tenant it owns mid-stream:
+  // at least 30 rows acked and not yet all of them.
+  bool mid_stream = false;
+  auto watcher = service::Client::Connect("127.0.0.1", doomed.port());
+  EXPECT_TRUE(watcher.ok()) << watcher.status().ToString();
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (watcher.ok() && !mid_stream &&
+         std::chrono::steady_clock::now() < give_up) {
+    auto stats = (*watcher)->Stats();
+    const common::JsonValue* tenants =
+        stats.ok() ? stats->Find("tenants") : nullptr;
+    for (const std::string& tenant : doomed_tenants) {
+      const common::JsonValue* entry =
+          tenants == nullptr ? nullptr : tenants->Find(tenant);
+      if (entry == nullptr) continue;
+      double acked = entry->GetNumber("acked").ValueOr(0.0);
+      if (acked >= 30.0 &&
+          acked < static_cast<double>(replay_options.rows_per_tenant)) {
+        mid_stream = true;
+      }
+    }
+    if (!mid_stream) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  EXPECT_TRUE(mid_stream)
+      << "no tenant on the doomed shard was mid-stream within 30 s";
   doomed.Kill9();
   replay.join();
 

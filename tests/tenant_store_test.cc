@@ -533,8 +533,16 @@ TEST(TenantStoreTest, AppendsAreNotBlockedByASlowScan) {
     auto r = store->ScanWithOptions(opts, &stats);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   });
-  // Let the scanner take its snapshot and block inside the stalled read.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Wait until the scanner reaches its stalled read. The schedule counts
+  // the stall when it decides on it: after the scan released the store
+  // lock, before the sleep.
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (common::faultenv::InjectedCount() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(common::faultenv::InjectedCount(), 1u)
+      << "the scan never reached its stalled read";
   auto t0 = std::chrono::steady_clock::now();
   Fill(store.get(), 40, 45);  // 5 rows: no seal, no disk I/O
   double append_ms = std::chrono::duration<double, std::milli>(
