@@ -22,9 +22,10 @@ namespace dbsherlock::core {
 ///
 /// Lifetime and invalidation: a cache is valid only for one (dataset, run
 /// decomposition, options) triple, all of which are immutable during a
-/// diagnosis and must outlive the cache, so the cache lives at most for one
-/// Rank call and is never invalidated — it is simply discarded. Entries are BuildConfidenceSpace's spaces,
-/// skewed-attribute normal anchor included.
+/// diagnosis and must outlive the cache, so the cache lives at most for
+/// one Rank call and is never invalidated — it is simply discarded.
+/// Entries are BuildConfidenceSpace's spaces, skewed-attribute normal
+/// anchor included.
 ///
 /// Threading: Prepare() builds all entries (fanning out over attributes);
 /// afterwards the cache is read-only, so concurrent Find()/Get() from the
@@ -35,6 +36,8 @@ class PartitionSpaceCache {
   PartitionSpaceCache(const tsdata::Dataset& dataset,
                       const DiagnosisRuns& runs,
                       const PredicateGenOptions& options);
+  PartitionSpaceCache(const tsdata::Dataset&, DiagnosisRuns&&,
+                      const PredicateGenOptions&) = delete;
 
   /// Counts the discarded entries as `partition_cache.evictions` (this
   /// cache never evicts mid-inquiry; entries die with the Rank call).
