@@ -11,9 +11,10 @@
 // column span through the SIMD kernels instead of gathering row by row.
 //
 // A DiagnosisRuns is built once per diagnosis (Explainer::Diagnose, the
-// service's DIAGNOSE_RANGE and background diagnoses, each DQL finding) and
-// shared by predicate generation and the PartitionSpaceCache behind
-// ModelRepository::Rank across all attributes and models; the
+// service's DIAGNOSE_RANGE and background diagnoses, each DQL finding;
+// the service's EXPLAINQ ranking callback, which takes regions, builds its
+// own) and shared by predicate generation and the PartitionSpaceCache
+// behind ModelRepository::Rank across all attributes and models; the
 // column_spans.runs_built / column_spans.runs_reused counters make the
 // reuse rate observable (tools/dbsherlock metrics).
 

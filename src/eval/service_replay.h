@@ -33,10 +33,11 @@ struct ServiceReplayResult {
 /// pre-trained causal models per anomaly class over the wire (TEACH merges
 /// them, the paper's Figure 8 merged models), then drives 8 simulated
 /// tenants concurrently through the real socket path — tenant i streams
-/// anomaly class i with a 40 s anomaly after 300 s of normal load (well
-/// under the detector's 20% small-cluster cutoff), seed 20260805 — and
-/// reports, per tenant, whether its anomaly was diagnosed with the correct
-/// cause ranked first over a region that overlaps the injected one.
+/// the i-th anomaly class, a 40 s anomaly after 300 s of normal load
+/// (well under the detector's 20% small-cluster cutoff), seed 20260805 —
+/// and reports, per tenant, whether its anomaly was diagnosed with the
+/// correct cause ranked first over a region that overlaps the injected
+/// one.
 /// `store` is the shared durable model store the service ranks against
 /// (the taught models land here). Fails on infrastructure errors (bind,
 /// connect, teach, a row shed past its retry budget); a wrong diagnosis

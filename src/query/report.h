@@ -71,7 +71,7 @@ struct DescribeInfo {
 
 /// Everything a DQL statement produced; rendered as markdown for humans
 /// and JSON for bots. Deliberately free of wall-clock fields so golden
-/// files stay stable (timing lives in STATS and BENCH_query.json).
+/// files stay stable (timing lives in STATS and in perfbench).
 struct IncidentReport {
   std::string tenant;
   std::string query;  // canonical Print() echo
